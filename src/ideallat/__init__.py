@@ -74,6 +74,7 @@ from .quotient import (
     coordinates,
     from_coordinates,
     lattice_ideal,
+    multiplication_matrix,
     quotient_mul,
 )
 

@@ -48,6 +48,13 @@ def _budget(text):
     return int(float(text))
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _build_parser():
     top = _Parser(prog="ideallat", description=__doc__)
     top.add_argument("--version", action="version", version="ideallat %s" % __version__)
@@ -80,7 +87,7 @@ def _build_parser():
     lm.add_argument("--k", type=int, required=True)
     lm.add_argument("--box", type=int, default=None)
     lm.add_argument("--budget", type=_budget, default=2_000_000)
-    lm.add_argument("--threads", type=int, default=1)
+    lm.add_argument("--threads", type=_positive_int, default=1)
 
     c = sub.add_parser("cyclic", help="tensor shifts and shift-closure checks")
     csub = c.add_subparsers(dest="verb", required=True)
@@ -286,7 +293,8 @@ def _cmd_algo1(args):
 def _cmd_hash(args):
     if args.verb == "keygen":
         params = jsonio.params_from_obj(jsonio.load_json(args.params))
-        validate(params, strict=args.strict)
+        if args.strict:
+            validate(params, strict=True)
         key = keygen(params, args.seed)
         obj = jsonio.key_to_obj(key)
         if args.out:

@@ -17,8 +17,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     DegenerateCollisionError,
     DomainError,
@@ -26,7 +24,8 @@ from .errors import (
     NumericDegeneracyError,
     ResourceError,
 )
-from .groebner import Ideal, leading_data, reduce_full
+from .groebner import Ideal, leading_data, normal_form, reduce_full
+from .hashing import _is_prime
 from .lattice import (
     IntegerLattice,
     hnf,
@@ -37,7 +36,7 @@ from .lattice import (
     solve_left,
 )
 from .poly import MonomialOrder, Polynomial, inf_norm, maxdeg
-from .quotient import build_quotient, coordinates, from_coordinates, quotient_mul, quotient_reduce
+from .quotient import build_quotient, coordinates, from_coordinates, multiplication_matrix, row_combination
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +44,7 @@ from .quotient import build_quotient, coordinates, from_coordinates, quotient_mu
 
 def norm_mod(f, q):
     """Infinity norm of f's canonical residue (centered for mod-p rings)."""
-    r = quotient_reduce(f, q)
-    return inf_norm(r.centered_lift())
+    return inf_norm(normal_form(f, q.gb).centered_lift())
 
 
 @dataclass
@@ -86,6 +84,11 @@ def expansion_factor(q, k_tuple, samples=10000, rng_seed=0, coeff_bound=1,
     per-variable degree and maximizes |g mod a|_inf / |g|_inf.  The sweep
     is exhaustive over coefficient sign patterns when 3^(#monomials) fits
     under ``exhaustive_limit``, else Monte Carlo with the given seed.
+
+    Over Z the exhaustive estimate is the largest row l1 sum of the box's
+    normal-form matrix; the sweep stays because ``k_measured`` (the most
+    reduction steps on any sample) and the first witness in sweep order
+    need each sample's own ``reduce_full``.
     """
     if not q.free:
         raise DomainError("expansion factor needs a free quotient")
@@ -233,10 +236,7 @@ def _closest_in_coset(u0, k_lat, box=4):
     basis = k_lat.hnf
     if basis:
         for coeff in itertools.product(range(-box, box + 1), repeat=len(basis)):
-            v = list(u0)
-            for c, row in zip(coeff, basis):
-                if c:
-                    v = [a + c * b for a, b in zip(v, row)]
+            v = row_combination(coeff, basis, u0)
             cand = (max(abs(x) for x in v), tuple(v))
             if cand < best:
                 best = cand
@@ -264,26 +264,17 @@ def cyclic_to_cyclotomic(oracle, q_cyclic, gens_of_a, box=None, budget=2_000_000
 
     candidates = []
 
-    image_gens = [quotient_reduce(g, q_ap) for g in gens_of_a]
+    image_gens = [normal_form(g, q_ap.gb) for g in gens_of_a]
     image_gens = [g for g in image_gens if not g.is_zero]
     if image_gens:
         g_prime = oracle(q_ap, image_gens)
         # projection matrix: cyclic basis monomial -> cyclotomic coordinates
-        proj = [
-            coordinates(quotient_reduce(b, q_ap), q_ap)
-            for b in q_cyclic.basis_polynomials()
-        ]
-        rows = [
-            [sum(c * proj[j][t] for j, c in enumerate(row)) for t in range(q_ap.N)]
-            for row in lat_a.hnf
-        ]
+        proj = [coordinates(b, q_ap) for b in q_cyclic.basis_polynomials()]
+        rows = [row_combination(row, proj, [0] * q_ap.N) for row in lat_a.hnf]
         target = coordinates(g_prime, q_ap)
         x = solve_left(rows, target)
         if x is not None:
-            u0 = [0] * lat_a.ambient_dim
-            for c, row in zip(x, lat_a.hnf):
-                if c:
-                    u0 = [a + c * b for a, b in zip(u0, row)]
+            u0 = row_combination(x, lat_a.hnf, [0] * lat_a.ambient_dim)
             candidates.append(_closest_in_coset(u0, kernel_part))
 
     if kernel_part.rank > 0:
@@ -348,7 +339,7 @@ def variety_cyclotomic(r_tuple):
 
 def max_substitution(alpha, ctx):
     """Largest modulus of alpha's value over the variety (reduced first)."""
-    a = quotient_reduce(alpha, ctx.quotient)
+    a = normal_form(alpha, ctx.quotient.gb)
     if a.is_zero:
         return 0.0
     return max(abs(ctx.evaluate(a, point)) for point in ctx.points)
@@ -356,7 +347,7 @@ def max_substitution(alpha, ctx):
 
 def max_coefficient(alpha, ctx):
     """Infinity norm of the reduced representative."""
-    return inf_norm(quotient_reduce(alpha, ctx.quotient).centered_lift())
+    return norm_mod(alpha, ctx.quotient)
 
 
 def ssub_bruteforce(ctx, gens_of_i, box=3, budget=2_000_000):
@@ -378,10 +369,7 @@ def ssub_bruteforce(ctx, gens_of_i, box=3, budget=2_000_000):
     for coeff in itertools.product(range(-box, box + 1), repeat=len(basis)):
         if not any(coeff):
             continue
-        v = [0] * lat.ambient_dim
-        for c, row in zip(coeff, basis):
-            if c:
-                v = [a + c * b for a, b in zip(v, row)]
+        v = row_combination(coeff, basis, [0] * lat.ambient_dim)
         if not any(v):
             continue
         f = from_coordinates(v, q)
@@ -446,15 +434,6 @@ def primality_certificate(q):
     return "unknown"
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in range(2, int(n**0.5) + 1):
-        if n % p == 0:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # collision-driven incremental shortest polynomial (the reduction harness)
 
@@ -487,6 +466,8 @@ def incspp_via_collisions(q, gens_of_a, g, oracle, rng_seed, p, d, m, eta,
     is returned after exact membership verification.  The norm property is
     statistical and left to the caller.
     """
+    import numpy as np
+
     if primality_certificate(q) != "prime":
         raise DomainError("the reduction runs only over certified prime ideals")
     n_dim = q.N
@@ -501,7 +482,7 @@ def incspp_via_collisions(q, gens_of_a, g, oracle, rng_seed, p, d, m, eta,
 
     s = gaussian_width(g, n_dim, d, m, eta)
     basis_a = lat_a.hnf
-    mul_g = [coordinates(quotient_mul(g, b, q), q) for b in q.basis_polynomials()]
+    mul_g = multiplication_matrix(g, q)
     lat_g = IntegerLattice(mul_g)
     coords_g = [solve_left(basis_a, row) for row in lat_g.hnf]
     if any(c is None for c in coords_g):
@@ -517,10 +498,8 @@ def incspp_via_collisions(q, gens_of_a, g, oracle, rng_seed, p, d, m, eta,
     frac_parts = []
     gaussians = []
     for _ in range(m):
-        t = np.array([int(rng.integers(0, di)) for di in diag])
-        v_vec = np.zeros(n_dim, dtype=float)
-        for c, row in zip(t, basis_a):
-            v_vec += c * np.array(row, dtype=float)
+        t = [int(rng.integers(0, di)) for di in diag]
+        v_vec = np.array(row_combination(t, basis_a, [0] * n_dim), dtype=float)
         y = rng.normal(0.0, s / math.sqrt(2 * math.pi), n_dim)
         try:
             w_hat = np.linalg.solve(m_mat.T, p * (v_vec + y))
@@ -538,7 +517,7 @@ def incspp_via_collisions(q, gens_of_a, g, oracle, rng_seed, p, d, m, eta,
         if trace is not None:
             trace.append(
                 ReductionRound(
-                    coset_rep=from_coordinates([int(x) for x in t], q),
+                    coset_rep=from_coordinates(t, q),
                     gaussian=y.tolist(),
                     w_real=w_mod.tolist(),
                     a_poly=a_poly,
@@ -555,10 +534,7 @@ def incspp_via_collisions(q, gens_of_a, g, oracle, rng_seed, p, d, m, eta,
         if z.is_zero:
             continue
         part = (frac @ m_mat) / p - y
-        z_mat = np.array(
-            [coordinates(quotient_mul(b, z, q), q) for b in q.basis_polynomials()],
-            dtype=float,
-        )
+        z_mat = np.array(multiplication_matrix(z, q), dtype=float)
         h_vec += part @ z_mat
     h_int = np.floor(h_vec + 0.5)
     if np.max(np.abs(h_vec - h_int)) > 1e-6:

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ResourceError, ValidationError
-from .groebner import Ideal
+from .groebner import Ideal, normal_form
 from .poly import MonomialOrder, Polynomial, inf_norm
-from .quotient import build_quotient, coordinates, from_coordinates, quotient_mul, quotient_reduce
+from .quotient import build_quotient, from_coordinates, multiplication_matrix, row_combination
 
 
 @dataclass
@@ -50,11 +50,18 @@ class HashKey:
     params: HashParams
     a: tuple
     quotient: object = field(default=None, repr=False)
+    # M_{a_i}, the multiplication matrices of the key elements; never serialised
+    matrices: list = field(default=None, repr=False, compare=False)
 
     def ring(self):
         if self.quotient is None:
             self.quotient = build_quotient(self.params.lifted_ideal(), self.params.order)
         return self.quotient
+
+    def mul_matrices(self):
+        if self.matrices is None:
+            self.matrices = [multiplication_matrix(ai, self.ring()) for ai in self.a]
+        return self.matrices
 
 
 def _is_prime(n):
@@ -72,6 +79,12 @@ def validate(params, strict=False):
     Violations are collected and reported together, each with both sides
     of the failed inequality evaluated.
     """
+    _checked_quotient(params, strict)
+    return params
+
+
+def _checked_quotient(params, strict):
+    """The checks of ``validate``; fills in params.N and returns the quotient."""
     violations = []
     if not _is_prime(params.p):
         violations.append("modulus: p = %d is not prime" % params.p)
@@ -106,15 +119,14 @@ def validate(params, strict=False):
     if violations:
         raise ValidationError(violations)
     params.N = q.N
-    return params
+    return q
 
 
 def keygen(params, seed):
     """Key of m ring elements with coordinates uniform in [0, p)."""
     import random
 
-    params = validate(params)
-    q = build_quotient(params.lifted_ideal(), params.order)
+    q = _checked_quotient(params, strict=False)
     rng = random.Random(seed)
     a = []
     for _ in range(params.m):
@@ -125,23 +137,32 @@ def keygen(params, seed):
 
 def in_domain(key, f):
     """Membership in D: centered residue norm at most d."""
+    return _domain_residue(key, f) is not None
+
+
+def _domain_residue(key, f):
+    """Normal form of f in the key's ring mod p, or None outside D."""
     q = key.ring()
-    lifted = _lift_mod_p(f, key.params.p)
-    return inf_norm(quotient_reduce(lifted, q).centered_lift()) <= key.params.d
+    r = normal_form(_lift_mod_p(f, key.params.p), q.gb)
+    return r if inf_norm(r.centered_lift()) <= key.params.d else None
 
 
 def digest(key, b):
-    """Hash of a domain tuple: sum of a_i * b_i in the ring."""
+    """Hash of a domain tuple: sum of a_i * b_i in the ring, computed as
+    the sum of coords(b_i) * M_{a_i} mod p."""
     q = key.ring()
     if len(b) != key.params.m:
         raise DomainError("expected a tuple of %d elements" % key.params.m)
+    residues = []
     for i, bi in enumerate(b):
-        if not in_domain(key, bi):
+        residues.append(_domain_residue(key, bi))
+        if residues[-1] is None:
             raise DomainError("tuple entry %d lies outside the domain bound d = %d" % (i, key.params.d))
-    acc = Polynomial.zero(q.nvars, q.modulus)
-    for ai, bi in zip(key.a, b):
-        acc = acc + quotient_mul(ai, _lift_mod_p(bi, key.params.p), q)
-    return quotient_reduce(acc, q)
+    acc = [0] * q.N
+    for ai, r, mat in zip(key.a, residues, key.mul_matrices()):
+        ai._check_compat(r)  # the ArityError of the product a_i * b_i
+        acc = row_combination([r.coeffs.get(e, 0) for e in q.basis], mat, acc)
+    return from_coordinates([a % key.params.p for a in acc], q)
 
 
 def _lift_mod_p(f, p):
@@ -163,11 +184,6 @@ def verify_collision(key, alpha, beta):
     return digest(key, alpha) == digest(key, beta)
 
 
-def _domain_elements(q, d):
-    """All ring elements with centered coordinates in [-d, d], lex order."""
-    return list(itertools.product(range(-d, d + 1), repeat=q.N))
-
-
 def find_collision_bruteforce(key, budget=10**6):
     """First collision in lexicographic enumeration order of D^m.
 
@@ -182,16 +198,11 @@ def find_collision_bruteforce(key, budget=10**6):
             "domain of size %d exceeds the enumeration budget %d" % (total, budget)
         )
     # multiplication-by-a_i tables over the small domain make each digest a sum
-    singles = _domain_elements(q, params.d)
-    tables = []
-    for ai in key.a:
-        table = {}
-        for coords in singles:
-            poly = Polynomial(
-                {e: c for e, c in zip(q.basis, coords)}, q.nvars, params.p
-            )
-            table[coords] = tuple(coordinates(quotient_mul(ai, poly, q), q))
-        tables.append(table)
+    singles = list(itertools.product(range(-params.d, params.d + 1), repeat=q.N))
+    tables = [
+        {c: tuple(a % params.p for a in row_combination(c, mat, [0] * q.N)) for c in singles}
+        for mat in key.mul_matrices()
+    ]
     seen = {}
     for tup in itertools.product(singles, repeat=params.m):
         vec = [0] * q.N
@@ -208,10 +219,7 @@ def find_collision_bruteforce(key, budget=10**6):
 
 
 def _tuple_to_polys(tup, q):
-    return tuple(
-        Polynomial({e: c for e, c in zip(q.basis, coords)}, q.nvars, None)
-        for coords in tup
-    )
+    return tuple(Polynomial(dict(zip(q.basis, coords)), q.nvars, None) for coords in tup)
 
 
 def collision_oracle(key, budget=10**6):
@@ -241,8 +249,4 @@ def encode_bytes(data, params, q):
             % (len(digits), base, capacity)
         )
     digits += [0] * (capacity - len(digits))
-    out = []
-    for i in range(params.m):
-        coords = digits[i * q.N : (i + 1) * q.N]
-        out.append(Polynomial({e: c for e, c in zip(q.basis, coords)}, q.nvars, None))
-    return tuple(out)
+    return _tuple_to_polys([digits[i * q.N : (i + 1) * q.N] for i in range(params.m)], q)

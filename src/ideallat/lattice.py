@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceError
-from .quotient import coordinates, quotient_mul
+from .quotient import multiplication_matrix, row_combination
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 
@@ -219,11 +218,7 @@ def solve_left(rows, v):
             residual = [a - q * b for a, b in zip(residual, H[i])]
     if any(residual):
         return None
-    x = [0] * len(rows)
-    for i in range(rank):
-        if y[i]:
-            x = [a + y[i] * b for a, b in zip(x, U[i])]
-    return x
+    return row_combination(y, U, [0] * len(rows))
 
 
 def intersect(l1, l2):
@@ -237,11 +232,7 @@ def intersect(l1, l2):
     _, U, rank = hnf_with_transform(stacked)
     rows = []
     for krow in U[rank:]:
-        x = krow[: len(b1)]
-        vec = [0] * l1.ambient_dim
-        for c, row in zip(x, b1):
-            if c:
-                vec = [a + c * b for a, b in zip(vec, row)]
+        vec = row_combination(krow, b1, [0] * l1.ambient_dim)
         if any(vec):
             rows.append(vec)
     return IntegerLattice(rows, ambient_dim=l1.ambient_dim)
@@ -251,16 +242,13 @@ def ideal_to_lattice(q, gens_of_a):
     """Lattice of the ideal generated by ``gens_of_a`` in the free quotient.
 
     Rows are the coordinates of every generator times every basis
-    monomial; their HNF is the canonical lattice basis.
+    monomial, the stacked multiplication matrices M_g; their HNF is the
+    canonical lattice basis.
     """
     if not q.free:
         raise DomainError("ideal lattices exist only in free quotients")
-    rows = []
-    for g in gens_of_a:
-        for b in q.basis_polynomials():
-            rows.append(coordinates(quotient_mul(g, b, q), q))
-    lat = IntegerLattice(rows, ambient_dim=len(q.basis))
-    return lat
+    rows = [row for g in gens_of_a for row in multiplication_matrix(g, q)]
+    return IntegerLattice(rows, ambient_dim=len(q.basis))
 
 
 def is_full_rank_ideal(q, gens_of_a):
@@ -292,10 +280,7 @@ def _enum_chunk(basis, c0, bound, rest_dims):
         coeff = (c0,) + tail
         if not any(coeff):
             continue
-        v = [0] * len(basis[0])
-        for c, row in zip(coeff, basis):
-            if c:
-                v = [a + c * b for a, b in zip(v, row)]
+        v = row_combination(coeff, basis, [0] * len(basis[0]))
         if any(v):
             out.append((max(abs(x) for x in v), tuple(v)))
     return out
@@ -350,8 +335,8 @@ def minima_bruteforce(lattice, k, box=None, budget=DEFAULT_ENUM_BUDGET, threads=
 
     Enumerates all integer combinations of the HNF basis with coefficients
     in [-box, box]; the default box is the largest HNF pivot.  Witnesses
-    are the lexicographically smallest vectors among ties, so the report
-    is independent of the enumeration schedule.
+    are the lexicographically smallest vectors among ties.  ``threads`` is
+    ignored: the search runs on one thread and results never depended on it.
     """
     basis = lattice.hnf
     r = len(basis)
@@ -367,13 +352,7 @@ def minima_bruteforce(lattice, k, box=None, budget=DEFAULT_ENUM_BUDGET, threads=
         raise ResourceError(
             "enumeration of %d combinations exceeds the budget of %d" % (total, budget)
         )
-    firsts = list(range(-box, box + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(lambda c0: _enum_chunk(basis, c0, box, r - 1), firsts)
-            candidates = [item for chunk in chunks for item in chunk]
-    else:
-        candidates = [item for c0 in firsts for item in _enum_chunk(basis, c0, box, r - 1)]
+    candidates = [x for c0 in range(-box, box + 1) for x in _enum_chunk(basis, c0, box, r - 1)]
     candidates.sort()
     lambdas = []
     witnesses = []

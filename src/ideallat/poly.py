@@ -44,10 +44,6 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a):
-    return sum(a)
-
-
 def format_monomial(e, nvars):
     if not any(e):
         return "1"

@@ -49,6 +49,9 @@ class QuotientRing:
     lct: LeadingCoeffTable
     free: bool
     torsion: dict = field(default_factory=dict)
+    # variable index -> matrix of multiplication by that variable, filled
+    # on first use by ``multiplication_matrix``
+    var_matrices: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def nvars(self):
@@ -167,8 +170,37 @@ def quotient_mul(f, g, q):
     return normal_form(f * g, q.gb)
 
 
-def quotient_reduce(f, q):
-    return normal_form(f, q.gb)
+def row_combination(coeffs, rows, acc):
+    """acc + sum of c * row over paired coefficients and rows (integer vectors)."""
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, row)]
+    return acc
+
+
+def multiplication_matrix(f, q):
+    """N x N integer matrix whose row k is the coordinate vector of f*basis[k].
+
+    Rows are residues mod p when the ring has a modulus.  The standard
+    monomials form an order ideal, so basis[k] = x_j*basis[i] for some
+    earlier i, and row k is row i times the matrix of multiplication by x_j
+    (the Auzinger-Stetter / FGLM view); only the row of the monomial 1
+    takes a normal form of f.
+    """
+    f._check_compat(Polynomial.zero(q.nvars, q.modulus))
+    rows = [coordinates(f, q)]
+    index = {e: k for k, e in enumerate(q.basis)}
+    for e in q.basis[1:]:
+        j = next(i for i, x in enumerate(e) if x)
+        if j not in q.var_matrices:
+            q.var_matrices[j] = [
+                coordinates(Polynomial.monomial(b[:j] + (b[j] + 1,) + b[j + 1 :], q.nvars, 1, q.modulus), q)
+                for b in q.basis
+            ]
+        parent = rows[index[e[:j] + (e[j] - 1,) + e[j + 1 :]]]
+        row = row_combination(parent, q.var_matrices[j], [0] * q.N)
+        rows.append([x % q.modulus for x in row] if q.modulus else row)
+    return rows if q.basis else []
 
 
 def lattice_ideal(lattice_or_rows, modulus=None):

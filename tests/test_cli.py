@@ -131,6 +131,28 @@ class TestLatticeCommands:
         assert code == 3
         assert out == ""
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, threads):
+        lat_file = tmp_path / "L.json"
+        lat_file.write_text(json.dumps([[2, 0], [0, 3]]))
+        code, out, err = run_cli(
+            "lattice", "minima", "--lattice", str(lat_file), "--k", "1", "--threads", threads,
+        )
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+class TestStartup:
+    def test_import_does_not_load_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import ideallat, sys; assert 'numpy' not in sys.modules"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestCyclicCommands:
     def test_check_and_shift(self, tmp_path):

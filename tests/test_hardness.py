@@ -86,6 +86,19 @@ class TestExpansionFactor:
         assert report.estimate == worst
         assert report.estimate <= report.theorem_bound
 
+    @pytest.mark.parametrize("gen", ["x^2-1", "x^3-1", "x^2+x+1", "x^4+x^3+x^2+x+1"])
+    def test_exhaustive_estimate_is_induced_norm(self, gen):
+        # the ratio is a maximum of linear maps: over the +-1 sweep it equals
+        # the largest l1 sum over output coordinates of the box monomials'
+        # normal forms
+        q = Q_of(gen)
+        report = expansion_factor(q, (2,), rng_seed=0)
+        assert report.exhaustive
+        cap = 2 * max(e for (e,) in q.gb.elements[0].coeffs)
+        box = [coordinates(Polynomial.monomial((e,), 1), q) for e in range(cap + 1)]
+        norm = max(sum(abs(v[t]) for v in box) for t in range(q.N))
+        assert report.estimate == norm
+
     def test_collapse_ring(self):
         q = Q_of("x-1")
         report = expansion_factor(q, (1,), rng_seed=0)

@@ -7,12 +7,14 @@ import pytest
 
 from ideallat.errors import DomainError, InfiniteDimensionError, RepresentationError, ResourceError
 from ideallat.groebner import Ideal, buchberger, ideal_membership, short_reduce
+from ideallat.hardness import cyclotomic_sum_ideal
 from ideallat.poly import MonomialOrder, Polynomial, parse_polynomial
 from ideallat.quotient import (
     build_quotient,
     coordinates,
     from_coordinates,
     lattice_ideal,
+    multiplication_matrix,
     quotient_mul,
 )
 
@@ -144,6 +146,54 @@ class TestQuotientMul:
             lhs = quotient_mul(f + g, h, q)
             rhs = quotient_mul(f, h, q) + quotient_mul(g, h, q)
             assert lhs == rhs
+
+
+def _products_matrix(f, q):
+    """Oracle: the coordinates of f times every basis monomial, one product each."""
+    return [coordinates(quotient_mul(f, b, q), q) for b in q.basis_polynomials()]
+
+
+MATRIX_RINGS = {
+    "x3-1,y5-1": lambda: Ideal([P("x^3-1", 2), P("y^5-1", 2)], 2),
+    "cyclotomic-sum-3-5": lambda: cyclotomic_sum_ideal((3, 5)),
+    "x2-1,y2-1,z3-1": lambda: Ideal([P("x^2-1", 3), P("y^2-1", 3), P("z^3-1", 3)], 3),
+    "x32+1-mod-12289": lambda: Ideal([P("x^32+1", 1, 12289)], 1, 12289),
+}
+
+
+class TestMultiplicationMatrix:
+    @pytest.mark.parametrize("name", sorted(MATRIX_RINGS))
+    def test_rows_equal_reduced_products(self, name, rng):
+        q = build_quotient(MATRIX_RINGS[name]())
+        assert q.free
+        samples = [Polynomial.zero(q.nvars, q.modulus), Polynomial.constant(1, q.nvars, q.modulus)]
+        samples += [
+            random_polynomial(rng, q.nvars, max_deg=6, max_terms=6, modulus=q.modulus)
+            for _ in range(6)
+        ]
+        for f in samples:
+            assert multiplication_matrix(f, q) == _products_matrix(f, q)
+        # the per-variable matrices are now cached; a cold ring agrees
+        assert q.var_matrices
+        cold = build_quotient(MATRIX_RINGS[name]())
+        assert multiplication_matrix(samples[-1], cold) == multiplication_matrix(samples[-1], q)
+
+    def test_rows_are_residues_mod_p(self):
+        q = build_quotient(MATRIX_RINGS["x32+1-mod-12289"]())
+        mat = multiplication_matrix(P("x^31", 1, 12289), q)
+        # x^31 * x = x^32 = -1
+        assert mat[1] == [12288] + [0] * 31
+        assert all(0 <= x < 12289 for row in mat for x in row)
+
+    def test_refused_on_torsion(self):
+        q = build_quotient(Ideal([P("2*x", 1), P("x^2", 1)], 1))
+        assert not q.free
+        with pytest.raises(RepresentationError):
+            multiplication_matrix(P("x+1", 1), q)
+
+    def test_build_quotient_leaves_cache_empty(self):
+        for make in MATRIX_RINGS.values():
+            assert build_quotient(make()).var_matrices == {}
 
 
 class TestLatticeIdeal:
