@@ -9,6 +9,7 @@ give byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__, jsonio
@@ -25,7 +26,16 @@ from .hardness import (
     spp_bruteforce,
     variety_cyclotomic,
 )
-from .hashing import collision_oracle, digest, encode_bytes, find_collision_bruteforce, keygen, validate, verify_collision
+from .hashing import (
+    _checked_quotient,
+    _keygen_on,
+    collision_oracle,
+    digest,
+    encode_bytes,
+    find_collision_bruteforce,
+    keygen,
+    verify_collision,
+)
 from .lattice import IntegerLattice, ideal_to_lattice, minima_bruteforce
 from .poly import format_monomial, format_polynomial, parse_polynomial
 from .quotient import build_quotient, coordinates
@@ -45,7 +55,10 @@ def _int_list(text):
 
 
 def _budget(text):
-    return int(float(text))
+    value = float(text)
+    if not (math.isfinite(value) and value >= 1):
+        raise argparse.ArgumentTypeError("must be a finite number at least 1, got %s" % text)
+    return int(value)
 
 
 def _positive_int(text):
@@ -294,8 +307,9 @@ def _cmd_hash(args):
     if args.verb == "keygen":
         params = jsonio.params_from_obj(jsonio.load_json(args.params))
         if args.strict:
-            validate(params, strict=True)
-        key = keygen(params, args.seed)
+            key = _keygen_on(_checked_quotient(params, strict=True), params, args.seed)
+        else:
+            key = keygen(params, args.seed)
         obj = jsonio.key_to_obj(key)
         if args.out:
             with open(args.out, "w") as fh:

@@ -25,6 +25,7 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mul,
 )
 
 DEFAULT_PAIR_BUDGET = 10**6
@@ -174,7 +175,7 @@ def reduce_full(f, elements, order, record=False, step_budget=None):
             if record:
                 quotients[i][shift] = quotients[i].get(shift, 0) + q
             steps += 1
-    return Polynomial(r, f.nvars, modulus), quotients, steps
+    return Polynomial._trusted(r, f.nvars, modulus), quotients, steps
 
 
 def normal_form(f, gb):
@@ -220,46 +221,85 @@ def buchberger(ideal, order=None, pair_budget=DEFAULT_PAIR_BUDGET, track=True,
     """Complete the generators into a minimal strong Groebner basis.
 
     Pairs are processed smallest lcm first and every reduction step is
-    deterministic, so the output depends only on (ideal, order).
-    Termination is guaranteed by Noetherianity; ``pair_budget`` bounds the
-    number of pair reductions (and ``step_budget``, when given, the term
-    reductions inside any one normal form) before a ResourceError.
+    deterministic, so the output depends only on (ideal, order).  Three
+    criteria skip pairs whose reduction cannot add anything; over Z_p every
+    lc is 1 and they are the classical field criteria:
+
+    - product criterion (Buchberger 1979; over Z in the form of Lichtblau
+      2012, "Effective computation of strong Groebner bases over Euclidean
+      domains"): an S-pair whose leading monomials share no variable and
+      whose leading coefficients are coprime;
+    - chain criterion (Buchberger 1979, Gebauer & Moeller 1988; over Z in
+      the form of Kandri-Rody & Kapur 1988 and Lichtblau 2012): an S-pair
+      (i, j) with some k outside {i, j} such that lm_k divides
+      lcm(lm_i, lm_j), lc_k divides lcm(lc_i, lc_j), and the S-pairs
+      (i, k) and (j, k) have already left the queue;
+    - G-pair criterion (Lichtblau 2012): a G-pair whose head
+      gcd(lc_i, lc_j) * lcm(lm_i, lm_j) is already divisible by the leading
+      term of a basis element.
+
+    Termination is guaranteed by Noetherianity.  ``pair_budget`` bounds
+    the number of pairs reduced, that is pairs whose S- or G-polynomial
+    is formed; pairs skipped by a criterion do not count.  ``step_budget``,
+    when given, bounds the term reductions inside any one normal form.
+    Either budget raises a ResourceError when exceeded.
     """
     order = order or MonomialOrder("lex")
     modulus = ideal.modulus
     nv = ideal.nvars
     basis = []
-    reps = [] if track else None
+    heads = []  # (lm, lc) of basis[k], positive lc over Z
+    derivs = []  # how basis[k] was made, expanded into representations at the end
     pairs = []
+    queued = set()  # S-pairs (i, j), i < j, still on the heap
 
     def push_pairs(j):
-        lmj, lcj = _head(basis[j], order)
+        lmj, lcj = heads[j]
         for i in range(j):
-            lmi, lci = _head(basis[i], order)
+            lmi, lci = heads[i]
             gamma = mono_lcm(lmi, lmj)
-            heapq.heappush(pairs, (order.key(gamma), i, j, 0))
+            # product criterion: disjoint heads, coprime leading coefficients
+            if gamma != mono_mul(lmi, lmj) or math.gcd(lci, lcj) != 1:
+                heapq.heappush(pairs, (order.key(gamma), i, j, 0))
+                queued.add((i, j))
             # a gcd pair is informative only when neither lc divides the other
             if modulus is None and lci % lcj != 0 and lcj % lci != 0:
                 heapq.heappush(pairs, (order.key(gamma), i, j, 1))
 
-    def append(poly, rep):
+    def left_queue(a, b):
+        return (min(a, b), max(a, b)) not in queued
+
+    def useless(i, j, kind):
+        (lmi, lci), (lmj, lcj) = heads[i], heads[j]
+        gamma = mono_lcm(lmi, lmj)
+        if kind == 1:
+            g = math.gcd(lci, lcj)
+            return any(mono_divides(lm, gamma) and g % lc == 0 for lm, lc in heads)
+        l = lci * lcj // math.gcd(lci, lcj)
+        return any(
+            k != i and k != j and mono_divides(lm, gamma) and l % lc == 0
+            and left_queue(i, k) and left_queue(j, k)
+            for k, (lm, lc) in enumerate(heads)
+        )
+
+    def append(poly, deriv):
         basis.append(poly)
+        heads.append(_head(poly, order))
         if track:
-            reps.append(rep)
+            derivs.append(deriv)
         push_pairs(len(basis) - 1)
 
-    n_gens = len(ideal.generators)
     for i, g in enumerate(ideal.generators):
         u = _unit_scale(g, order)
-        rep = None
-        if track:
-            rep = [Polynomial.zero(nv, modulus) for _ in range(n_gens)]
-            rep[i] = Polynomial.constant(u, nv, modulus)
-        append(g * u, rep)
+        append(g * u, (i, u))
 
     reductions = 0
     while pairs:
         _, i, j, kind = heapq.heappop(pairs)
+        if kind == 0:
+            queued.discard((i, j))
+        if useless(i, j, kind):
+            continue
         reductions += 1
         if reductions > pair_budget:
             raise ResourceError("pair budget of %d reductions exceeded" % pair_budget)
@@ -269,26 +309,51 @@ def buchberger(ideal, order=None, pair_budget=DEFAULT_PAIR_BUDGET, track=True,
         r, quot, _ = reduce_full(cand, basis, order, record=track, step_budget=step_budget)
         if r.is_zero:
             continue
-        rep = _pair_rep(basis, reps, i, j, kind, order, quot, nv, modulus) if track else None
         u = _unit_scale(r, order)
-        append(r * u, [p * u for p in rep] if track else None)
+        append(r * u, (i, j, kind, quot, u))
 
-    kept = _minimalize(basis, order)
+    kept = _minimalize(heads, order)
     perm = _storage_order([basis[i] for i in kept], order)
     elements = [basis[kept[i]] for i in perm]
+    reps = _representations(derivs, heads, kept, len(ideal.generators), nv, modulus) if track else None
     gb = GroebnerBasis(
         elements,
         order,
         representations=[reps[kept[i]] for i in perm] if track else None,
     )
-    gb.is_monic = all(_head(g, order)[1] == 1 for g in gb.elements)
+    gb.is_monic = all(heads[k][1] == 1 for k in kept)
     return gb
 
 
-def _pair_rep(basis, reps, i, j, kind, order, quot, nv, modulus):
+def _representations(derivs, heads, wanted, n_gens, nv, modulus):
+    """Representations over the generators of the basis elements ``wanted``.
+
+    ``derivs[k]`` records how element k was made from earlier elements:
+    (generator index, unit) or (i, j, kind, reduction quotients, unit).
+    Only ``wanted`` and the elements they were made from are expanded, so
+    a completion that exceeds its budget expands nothing.
+    """
+    needed = set(wanted)
+    for k in range(len(derivs) - 1, -1, -1):
+        if k in needed and len(derivs[k]) == 5:
+            i, j, _, quot, _ = derivs[k]
+            needed.update([i, j] + [idx for idx, qd in enumerate(quot) if qd])
+    reps = {}
+    for k in sorted(needed):
+        if len(derivs[k]) == 2:
+            g, u = derivs[k]
+            reps[k] = [Polynomial.zero(nv, modulus) for _ in range(n_gens)]
+            reps[k][g] = Polynomial.constant(u, nv, modulus)
+        else:
+            i, j, kind, quot, u = derivs[k]
+            reps[k] = [p * u for p in _pair_rep(heads, reps, i, j, kind, quot, nv, modulus)]
+    return reps
+
+
+def _pair_rep(heads, reps, i, j, kind, quot, nv, modulus):
     """Representation of the reduced pair polynomial over the original generators."""
-    lmf, lcf = _head(basis[i], order)
-    lmg, lcg = _head(basis[j], order)
+    lmf, lcf = heads[i]
+    lmg, lcg = heads[j]
     gamma = mono_lcm(lmf, lmg)
     if kind == 0:
         if modulus is not None:
@@ -310,19 +375,20 @@ def _pair_rep(basis, reps, i, j, kind, order, quot, nv, modulus):
     return rep
 
 
-def _minimalize(basis, order):
+def _minimalize(heads, order):
     """Indices of elements whose leading term no other kept element's divides.
 
-    Processing heads in ascending order keeps the small elements, and for a
-    strong basis dropping a covered element preserves both the strong
-    property and the generated ideal.
+    ``heads`` lists (lm, lc) per element.  Processing heads in ascending
+    order keeps the small elements, and for a strong basis dropping a
+    covered element preserves both the strong property and the generated
+    ideal.
     """
-    heads = sorted(
-        ((_head(g, order), i) for i, g in enumerate(basis)),
+    ranked = sorted(
+        ((h, i) for i, h in enumerate(heads)),
         key=lambda t: (order.key(t[0][0]), abs(t[0][1]), t[1]),
     )
     kept = []
-    for (lm, lc), i in heads:
+    for (lm, lc), i in ranked:
         covered = any(
             mono_divides(lm2, lm) and lc % lc2 == 0 for (lm2, lc2), _ in kept
         )

@@ -124,9 +124,13 @@ def _checked_quotient(params, strict):
 
 def keygen(params, seed):
     """Key of m ring elements with coordinates uniform in [0, p)."""
+    return _keygen_on(_checked_quotient(params, strict=False), params, seed)
+
+
+def _keygen_on(q, params, seed):
+    """The key of ``keygen`` over the already checked quotient ``q``."""
     import random
 
-    q = _checked_quotient(params, strict=False)
     rng = random.Random(seed)
     a = []
     for _ in range(params.m):
@@ -158,6 +162,11 @@ def digest(key, b):
         residues.append(_domain_residue(key, bi))
         if residues[-1] is None:
             raise DomainError("tuple entry %d lies outside the domain bound d = %d" % (i, key.params.d))
+    return _digest_of_residues(key, q, residues)
+
+
+def _digest_of_residues(key, q, residues):
+    """``digest`` of a tuple whose entries are already reduced into D."""
     acc = [0] * q.N
     for ai, r, mat in zip(key.a, residues, key.mul_matrices()):
         ai._check_compat(r)  # the ArityError of the product a_i * b_i
@@ -179,9 +188,13 @@ def verify_collision(key, alpha, beta):
         return False
     if all(a == b for a, b in zip(alpha, beta)):
         return False
-    if not all(in_domain(key, f) for f in itertools.chain(alpha, beta)):
-        return False
-    return digest(key, alpha) == digest(key, beta)
+    residues = []
+    for f in itertools.chain(alpha, beta):
+        residues.append(_domain_residue(key, f))
+        if residues[-1] is None:
+            return False
+    q, m = key.ring(), key.params.m
+    return _digest_of_residues(key, q, residues[:m]) == _digest_of_residues(key, q, residues[m:])
 
 
 def find_collision_bruteforce(key, budget=10**6):

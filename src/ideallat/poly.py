@@ -137,6 +137,23 @@ class Polynomial:
                     del clean[e]
         self.coeffs = clean
 
+    @classmethod
+    def _trusted(cls, coeffs, nvars, modulus):
+        """Polynomial from a dict built out of valid polynomials' terms.
+
+        Skips the checks of ``__init__``: exponents must already be tuples
+        of ``nvars`` non-negative ints and coefficients ints.  Only the
+        canonical form is restored: residues mod p, zero terms dropped.
+        """
+        self = cls.__new__(cls)
+        self.nvars = nvars
+        self.modulus = modulus
+        if modulus is None:
+            self.coeffs = {e: c for e, c in coeffs.items() if c}
+        else:
+            self.coeffs = {e: c % modulus for e, c in coeffs.items() if c % modulus}
+        return self
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -184,12 +201,14 @@ class Polynomial:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
-        return Polynomial(out, self.nvars, self.modulus)
+        return Polynomial._trusted(out, self.nvars, self.modulus)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({e: -c for e, c in self.coeffs.items()}, self.nvars, self.modulus)
+        return Polynomial._trusted(
+            {e: -c for e, c in self.coeffs.items()}, self.nvars, self.modulus
+        )
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -201,7 +220,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Polynomial(
+            return Polynomial._trusted(
                 {e: c * other for e, c in self.coeffs.items()}, self.nvars, self.modulus
             )
         self._check_compat(other)
@@ -210,7 +229,7 @@ class Polynomial:
             for e2, c2 in other.coeffs.items():
                 e = mono_mul(e1, e2)
                 out[e] = out.get(e, 0) + c1 * c2
-        return Polynomial(out, self.nvars, self.modulus)
+        return Polynomial._trusted(out, self.nvars, self.modulus)
 
     __rmul__ = __mul__
 

@@ -95,6 +95,14 @@ class TestGroebnerCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("budget", ["inf", "-inf", "1e400", "0", "-3"])
+    def test_budget_must_be_finite_and_positive(self, ideal_file, budget):
+        code, out, err = run_cli("groebner", "--ideal", ideal_file, "--budget=" + budget)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
 
 class TestQuotientCommand:
     def test_info_default_verb(self, ideal_file):
@@ -142,6 +150,7 @@ class TestLatticeCommands:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("usage error:") and err.count("\n") == 1
+
 
 
 class TestStartup:
@@ -194,6 +203,37 @@ class TestHardnessCommands:
 
 
 class TestHashCommands:
+    def test_keygen_builds_its_quotient_once(self, tmp_path, monkeypatch, capsys):
+        import ideallat.hashing as hashing
+        from ideallat import cli
+
+        # p = 12289 passes the strict bound for m = 14 over Z[x]/<x^8+1>
+        x8_plus_1 = {"e": [8], "c": "1"}, {"e": [0], "c": "1"}
+        ideal = dict(HASH_PARAMS["ideal"], generators=[
+            {"nvars": 1, "modulus": None, "terms": list(x8_plus_1)}
+        ])
+        params_file = tmp_path / "hp.json"
+        params_file.write_text(json.dumps(dict(HASH_PARAMS, p="12289", m="14", ideal=ideal)))
+        builds = []
+        real = hashing.build_quotient
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hashing, "build_quotient", counting)
+        keys = []
+        for flags in ([], ["--strict"]):
+            key_file = tmp_path / ("key%d.json" % len(keys))
+            argv = ["hash", "keygen", "--params", str(params_file), "--seed", "7",
+                    "-o", str(key_file), *flags]
+            builds.clear()
+            assert cli.main(argv) == 0
+            assert len(builds) == 1
+            keys.append(key_file.read_bytes())
+        capsys.readouterr()
+        assert keys[0] == keys[1]
+
     def test_keygen_digest_collide(self, tmp_path):
         params_file = tmp_path / "hp.json"
         params_file.write_text(json.dumps(HASH_PARAMS))

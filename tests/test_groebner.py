@@ -236,3 +236,82 @@ class TestBudget:
         gens = [P("x^2*y - 1", 2), P("x*y^2 - x", 2)]
         with pytest.raises(ResourceError):
             buchberger(Ideal(gens, 2), MonomialOrder("lex"), pair_budget=1)
+
+
+class TestPairCriteria:
+    """Each case fails when one condition of a pair criterion is dropped."""
+
+    def test_product_criterion_needs_coprime_leading_coefficients(self):
+        # disjoint heads 2x, 2y, but gcd(2, 2) = 2: the S-pair gives y - x
+        gens = [P("2*x+1", 2), P("2*y+1", 2)]
+        assert P("y", 2) * gens[0] - P("x", 2) * gens[1] == P("y-x", 2)
+        gb = gb_of(gens, 2)
+        assert [str(g) for g in gb.elements] == ["x + y + 1", "2*y + 1"]
+        assert ideal_membership(P("x-y", 2), gb)
+
+    @pytest.mark.parametrize("modulus", [None, 13])
+    def test_product_criterion_skips_coprime_disjoint_heads(self, monkeypatch, modulus):
+        import ideallat.groebner as groebner
+
+        calls = []
+        real = groebner.reduce_full
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, "reduce_full", counting)
+        gens = [P("x^3-1", 2, modulus), P("y^5-1", 2, modulus)]
+        gb = buchberger(Ideal(gens, 2, modulus), MonomialOrder("lex"))
+        assert calls == []
+        assert gb.elements == gens
+
+    def test_chain_criterion_needs_leading_coefficient_division(self):
+        # 1 = 4*x^2 - (2x - 1)(2x + 1), while 4 does not divide lcm(1, 2)
+        gens = [P("4", 1), P("2*x-1", 1)]
+        assert P("x^2", 1) * gens[0] - gens[1] * P("2*x+1", 1) == P("1", 1)
+        gb = gb_of(gens, 1)
+        assert [str(g) for g in gb.elements] == ["1"]
+
+    def test_g_pair_criterion_needs_leading_coefficient_division(self):
+        # the G-pair of 7y^3 and 4xy^2 - y^3 has head x*y^3 (gcd(7, 4) = 1);
+        # 4xy^2 covers its monomial but not its coefficient
+        gens = [P("7*y^3", 2), P("-4*x*y^2+y^3", 2)]
+        gb = gb_of(gens, 2)
+        expected = ["x*y^3 + 5*y^4", "4*x*y^2 + 6*y^3", "7*y^3"]
+        assert [str(g) for g in gb.elements] == expected
+        for text in expected:
+            assert bounded_membership(P(text, 2), gens, 2)
+
+
+class TestModPAgainstSympy:
+    def test_short_reduce_matches_sympy_groebner(self):
+        """Reduced monic bases over Z_p are unique, so sympy's must match."""
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(987654)
+        compared = 0
+        for _ in range(200):
+            ideal = random_ideal(rng)
+            nv = ideal.nvars
+            syms = sympy.symbols("x0:%d" % nv)
+            for p in (13, 101):
+                gens = [Polynomial(g.coeffs, nv, p) for g in ideal.generators]
+                gens = [g for g in gens if not g.is_zero]
+                if not gens:
+                    continue
+                # representations leave the basis unchanged and cost seconds here
+                ours = gb_of(gens, nv, modulus=p, track=False)
+                exprs = [
+                    sympy.Poly.from_dict(g.coeffs, *syms, modulus=p).as_expr() for g in gens
+                ]
+                theirs = sympy.groebner(exprs, *syms, order="lex", modulus=p)
+                expected = {
+                    frozenset(
+                        (e, c % p)
+                        for e, c in sympy.Poly(b, *syms, modulus=p).as_dict().items()
+                    )
+                    for b in theirs.exprs
+                }
+                assert {frozenset(g.coeffs.items()) for g in ours.elements} == expected
+                compared += 1
+        assert compared >= 390

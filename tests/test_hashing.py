@@ -169,6 +169,31 @@ class TestCollisions:
             acc = acc + quotient_mul(ai, Polynomial(zi.coeffs, 1, key.params.p), q)
         assert normal_form(acc, q.gb).is_zero
 
+    def test_verify_reduces_each_entry_once(self, monkeypatch):
+        import ideallat.hashing as hashing
+
+        key = keygen(make_params(), 11)
+        alpha, beta = find_collision_bruteforce(key)
+        reduced = []
+        real = hashing.normal_form
+
+        def counting(f, gb):
+            reduced.append(f)
+            return real(f, gb)
+
+        monkeypatch.setattr(hashing, "normal_form", counting)
+        assert verify_collision(key, alpha, beta)
+        assert len(reduced) == 2 * key.params.m == 10
+
+    def test_verify_rejects_out_of_domain_entries(self):
+        key = keygen(make_params(), 11)
+        alpha, beta = find_collision_bruteforce(key)
+        far = (P("2*x", 1),) + tuple(alpha[1:])
+        assert not verify_collision(key, far, beta)
+        assert not verify_collision(key, alpha, far)
+        with pytest.raises(DomainError):
+            verify_collision(key, (P("x", 1, 7),) + tuple(alpha[1:]), beta)
+
     def test_budget_guard(self):
         key = keygen(make_params(), 11)
         with pytest.raises(ResourceError):

@@ -57,6 +57,27 @@ class TestArithmetic:
             assert (f * g) * h == f * (g * h)
             assert f * (g + h) == f * g + f * h
 
+    @pytest.mark.parametrize("modulus", [None, 7])
+    def test_results_are_canonical(self, modulus):
+        # oracle: the checked constructor applied to the naive term sums
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            f = random_polynomial(rng, n, max_deg=2, max_coeff=9, modulus=modulus)
+            g = random_polynomial(rng, n, max_deg=2, max_coeff=9, modulus=modulus)
+            total = dict(f.coeffs)
+            for e, c in g.coeffs.items():
+                total[e] = total.get(e, 0) + c
+            product = {}
+            for e1, c1 in f.coeffs.items():
+                for e2, c2 in g.coeffs.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    product[e] = product.get(e, 0) + c1 * c2
+            assert f + g == Polynomial(total, n, modulus)
+            assert f * g == Polynomial(product, n, modulus)
+            assert -f == Polynomial({e: -c for e, c in f.coeffs.items()}, n, modulus)
+            assert f * 7 == Polynomial({e: 7 * c for e, c in f.coeffs.items()}, n, modulus)
+
     def test_scalar_multiplication(self):
         f = P("x^2 - 3*x", 1)
         assert f * 4 == P("4*x^2 - 12*x", 1)
