@@ -36,7 +36,7 @@ from .hashing import (
     keygen,
     verify_collision,
 )
-from .lattice import IntegerLattice, ideal_to_lattice, minima_bruteforce
+from .lattice import DEFAULT_ENUM_BUDGET, IntegerLattice, ideal_to_lattice, minima_bruteforce
 from .poly import format_monomial, format_polynomial, parse_polynomial
 from .quotient import build_quotient, coordinates
 
@@ -99,7 +99,7 @@ def _build_parser():
     lm.add_argument("--lattice", required=True)
     lm.add_argument("--k", type=int, required=True)
     lm.add_argument("--box", type=int, default=None)
-    lm.add_argument("--budget", type=_budget, default=2_000_000)
+    lm.add_argument("--budget", type=_budget, default=DEFAULT_ENUM_BUDGET)
     lm.add_argument("--threads", type=_positive_int, default=1)
 
     c = sub.add_parser("cyclic", help="tensor shifts and shift-closure checks")
@@ -126,7 +126,7 @@ def _build_parser():
     hs.add_argument("--A", required=True, dest="a_gens")
     hs.add_argument("--gamma", type=float, default=1)
     hs.add_argument("--box", type=int, default=None)
-    hs.add_argument("--budget", type=_budget, default=2_000_000)
+    hs.add_argument("--budget", type=_budget, default=DEFAULT_ENUM_BUDGET)
     hm = hsub.add_parser("maxsub")
     hm.add_argument("--r", type=_int_list, required=True)
     hm.add_argument("--poly", required=True)
@@ -312,14 +312,19 @@ def _cmd_hash(args):
             key = keygen(params, args.seed)
         obj = jsonio.key_to_obj(key)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(jsonio.dumps(obj))
-                fh.write("\n")
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(jsonio.dumps(obj) + "\n")
+            except OSError as exc:
+                raise DomainError("cannot write %s: %s" % (args.out, exc)) from exc
         return obj
     key = jsonio.key_from_obj(jsonio.load_json(args.key))
     if args.verb == "digest":
-        with open(args.infile, "rb") as fh:
-            data = fh.read()
+        try:
+            with open(args.infile, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise DomainError("cannot read %s: %s" % (args.infile, exc)) from exc
         q = key.ring()
         tup = encode_bytes(data, key.params, q)
         out = digest(key, tup)

@@ -242,11 +242,17 @@ def buchberger(ideal, order=None, pair_budget=DEFAULT_PAIR_BUDGET, track=True,
     the number of pairs reduced, that is pairs whose S- or G-polynomial
     is formed; pairs skipped by a criterion do not count.  ``step_budget``,
     when given, bounds the term reductions inside any one normal form.
-    Either budget raises a ResourceError when exceeded.
+    Either budget raises a ResourceError when exceeded.  An order whose
+    variable priority does not cover exactly the ideal's variables raises
+    a DomainError.
     """
     order = order or MonomialOrder("lex")
     modulus = ideal.modulus
     nv = ideal.nvars
+    if order.priority is not None and len(order.priority) != nv:
+        raise DomainError(
+            "monomial order ranks %d variables, the ideal has %d" % (len(order.priority), nv)
+        )
     basis = []
     heads = []  # (lm, lc) of basis[k], positive lc over Z
     derivs = []  # how basis[k] was made, expanded into representations at the end

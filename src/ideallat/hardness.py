@@ -22,12 +22,13 @@ from .errors import (
     DomainError,
     InfeasibleError,
     NumericDegeneracyError,
-    ResourceError,
 )
 from .groebner import Ideal, leading_data, normal_form, reduce_full
 from .hashing import _is_prime
 from .lattice import (
+    DEFAULT_ENUM_BUDGET,
     IntegerLattice,
+    enumerate_box,
     hnf,
     ideal_to_lattice,
     intersect,
@@ -158,7 +159,7 @@ def _canonical_shortest(q, vectors):
     return polys[0][2]
 
 
-def spp_bruteforce(q, gens_of_a, gamma=1, box=None, budget=2_000_000):
+def spp_bruteforce(q, gens_of_a, gamma=1, box=None, budget=DEFAULT_ENUM_BUDGET):
     """A nonzero ideal element of residue norm at most gamma * lambda1.
 
     Exhaustive within the coefficient box, exact for gamma = 1: returns a
@@ -173,7 +174,7 @@ def spp_bruteforce(q, gens_of_a, gamma=1, box=None, budget=2_000_000):
     return _canonical_shortest(q, ties)
 
 
-def incspp_step(q, gens_of_a, g, box=None, budget=2_000_000):
+def incspp_step(q, gens_of_a, g, box=None, budget=DEFAULT_ENUM_BUDGET):
     """An ideal element of residue norm at most half of g's.
 
     The reference implementation answers by exact enumeration; the caller
@@ -230,20 +231,13 @@ def cyclotomic_sum_ideal(r_tuple, nvars=None, modulus=None):
     return Ideal(gens, nv, modulus)
 
 
-def _closest_in_coset(u0, k_lat, box=4):
-    """Small exact search for a short vector in u0 + K."""
-    best = (max(abs(x) for x in u0), tuple(u0))
-    basis = k_lat.hnf
-    if basis:
-        for coeff in itertools.product(range(-box, box + 1), repeat=len(basis)):
-            v = row_combination(coeff, basis, u0)
-            cand = (max(abs(x) for x in v), tuple(v))
-            if cand < best:
-                best = cand
-    return list(best[1])
+def _closest_in_coset(u0, k_lat, box=4, budget=DEFAULT_ENUM_BUDGET):
+    """Small exact search for a short vector in u0 + K, u0 itself included."""
+    vecs = enumerate_box(k_lat.hnf, box, budget, offset=u0)
+    return list(min((max(abs(x) for x in v), tuple(v)) for v in vecs)[1])
 
 
-def cyclic_to_cyclotomic(oracle, q_cyclic, gens_of_a, box=None, budget=2_000_000):
+def cyclic_to_cyclotomic(oracle, q_cyclic, gens_of_a, box=None, budget=DEFAULT_ENUM_BUDGET):
     """Short element of an ideal of the cyclic quotient via the
     cyclotomic-sum oracle.
 
@@ -275,7 +269,7 @@ def cyclic_to_cyclotomic(oracle, q_cyclic, gens_of_a, box=None, budget=2_000_000
         x = solve_left(rows, target)
         if x is not None:
             u0 = row_combination(x, lat_a.hnf, [0] * lat_a.ambient_dim)
-            candidates.append(_closest_in_coset(u0, kernel_part))
+            candidates.append(_closest_in_coset(u0, kernel_part, budget=budget))
 
     if kernel_part.rank > 0:
         _, ties = shortest_nonzero(kernel_part, box=box, budget=budget)
@@ -350,7 +344,7 @@ def max_coefficient(alpha, ctx):
     return norm_mod(alpha, ctx.quotient)
 
 
-def ssub_bruteforce(ctx, gens_of_i, box=3, budget=2_000_000):
+def ssub_bruteforce(ctx, gens_of_i, box=3, budget=DEFAULT_ENUM_BUDGET):
     """Element of the ideal minimizing the maximum substitution modulus.
 
     Exhaustive over the coefficient box on the ideal's lattice; ties are
@@ -361,22 +355,12 @@ def ssub_bruteforce(ctx, gens_of_i, box=3, budget=2_000_000):
     lat = ideal_to_lattice(q, gens_of_i)
     if lat.rank == 0:
         raise DomainError("the zero ideal has no smallest substitution")
-    basis = lat.hnf
-    total = (2 * box + 1) ** len(basis)
-    if total > budget:
-        raise ResourceError("ssub box of %d combinations exceeds the budget" % total)
-    best = None
-    for coeff in itertools.product(range(-box, box + 1), repeat=len(basis)):
-        if not any(coeff):
-            continue
-        v = row_combination(coeff, basis, [0] * lat.ambient_dim)
-        if not any(v):
-            continue
-        f = from_coordinates(v, q)
-        key = (max_substitution(f, ctx), max(abs(x) for x in v), tuple(v))
-        if best is None or key < best[0]:
-            best = (key, f)
-    return best[1]
+
+    def key(v):
+        return (max_substitution(from_coordinates(v, q), ctx), max(abs(x) for x in v), tuple(v))
+
+    vecs = enumerate_box(lat.hnf, box, budget)
+    return from_coordinates(min((v for v in vecs if any(v)), key=key), q)
 
 
 # ---------------------------------------------------------------------------

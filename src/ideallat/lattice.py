@@ -5,6 +5,11 @@ saturation testing.
 The HNF convention is pinned because coordinate vectors feed golden tests:
 row style, upper echelon, positive pivots, entries above each pivot
 reduced into [0, pivot).  All elimination is exact integer arithmetic.
+
+Every exact lattice search (shortest vector, successive minima, and the
+coset and substitution searches of ``hardness``) walks one coefficient
+box through ``enumerate_box``, which holds the one box and budget check:
+the box defaults to the largest basis entry and must be at least 1.
 """
 
 from __future__ import annotations
@@ -187,13 +192,7 @@ class IntegerLattice:
         v = list(map(int, v))
         if len(v) != self.ambient_dim:
             raise DomainError("vector has wrong dimension")
-        for row in self.hnf:
-            col = next(j for j, a in enumerate(row) if a)
-            if v[col] % row[col] == 0:
-                q = v[col] // row[col]
-                if q:
-                    v = [a - q * b for a, b in zip(v, row)]
-        return not any(v)
+        return _echelon_solve(self.hnf, v) is not None
 
     def __eq__(self, other):
         return isinstance(other, IntegerLattice) and self.hnf == other.hnf and self.ambient_dim == other.ambient_dim
@@ -202,21 +201,25 @@ class IntegerLattice:
         return "IntegerLattice(%r)" % (self.hnf,)
 
 
+def _echelon_solve(echelon, v):
+    """Integer y with y*echelon = v for rows in echelon form, or None."""
+    y = []
+    for row in echelon:
+        col = next(j for j, a in enumerate(row) if a)
+        q, r = divmod(v[col], row[col])
+        if r:
+            return None
+        y.append(q)
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return None if any(v) else y
+
+
 def solve_left(rows, v):
     """Integer x with x*rows = v, or None when no such x exists."""
     H, U, rank = hnf_with_transform(rows)
-    v = list(map(int, v))
-    y = [0] * rank
-    residual = v[:]
-    for i in range(rank):
-        col = next(j for j, a in enumerate(H[i]) if a)
-        if residual[col] % H[i][col]:
-            return None
-        q = residual[col] // H[i][col]
-        y[i] = q
-        if q:
-            residual = [a - q * b for a, b in zip(residual, H[i])]
-    if any(residual):
+    y = _echelon_solve(H[:rank], list(map(int, v)))
+    if y is None:
         return None
     return row_combination(y, U, [0] * len(rows))
 
@@ -274,35 +277,31 @@ class MinimaReport:
     search_bound: int
 
 
-def _enum_chunk(basis, c0, bound, rest_dims):
-    out = []
-    for tail in itertools.product(range(-bound, bound + 1), repeat=rest_dims):
-        coeff = (c0,) + tail
-        if not any(coeff):
-            continue
-        v = row_combination(coeff, basis, [0] * len(basis[0]))
-        if any(v):
-            out.append((max(abs(x) for x in v), tuple(v)))
-    return out
+def _check_box(basis, box, budget):
+    """The box to search: the largest basis entry by default, at least 1."""
+    if box is None:
+        box = max(max(abs(x) for x in row) for row in basis)
+    box = int(box)
+    if box < 1:
+        raise DomainError("box must be at least 1")
+    total = (2 * box + 1) ** len(basis)
+    if total > budget:
+        raise ResourceError(
+            "enumeration of %d combinations exceeds the budget of %d" % (total, budget)
+        )
+    return box
 
 
-def _independent(rows, cand):
-    """Exact linear independence over Q via fraction-free elimination."""
-    from fractions import Fraction
-
-    mat = [[Fraction(x) for x in r] for r in rows] + [[Fraction(x) for x in cand]]
-    k = 0
-    for col in range(len(cand)):
-        piv = next((i for i in range(k, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[k], mat[piv] = mat[piv], mat[k]
-        for i in range(k + 1, len(mat)):
-            if mat[i][col] != 0:
-                f = mat[i][col] / mat[k][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[k])]
-        k += 1
-    return k == len(rows) + 1
+def enumerate_box(basis, box=None, budget=DEFAULT_ENUM_BUDGET, offset=None):
+    """offset + c*basis for every c in [-box, box]^rank, c = 0 included;
+    the box is checked at the call, before the first vector."""
+    box = _check_box(basis, box, budget)
+    if offset is None:
+        offset = [0] * len(basis[0])
+    return (
+        row_combination(c, basis, offset)
+        for c in itertools.product(range(-box, box + 1), repeat=len(basis))
+    )
 
 
 def shortest_nonzero(lattice, box=None, budget=DEFAULT_ENUM_BUDGET):
@@ -310,22 +309,15 @@ def shortest_nonzero(lattice, box=None, budget=DEFAULT_ENUM_BUDGET):
     basis = lattice.hnf
     if not basis:
         raise DomainError("the zero lattice has no shortest vector")
-    if box is None:
-        box = max(max(abs(x) for x in row) for row in basis)
-    box = int(box)
-    total = (2 * box + 1) ** len(basis)
-    if total > budget:
-        raise ResourceError(
-            "enumeration of %d combinations exceeds the budget of %d" % (total, budget)
-        )
-    best = None
-    ties = []
-    for c0 in range(-box, box + 1):
-        for norm, vec in _enum_chunk(basis, c0, box, len(basis) - 1):
-            if best is None or norm < best:
-                best, ties = norm, [vec]
-            elif norm == best:
-                ties.append(vec)
+    best, ties = None, []
+    for v in enumerate_box(basis, box, budget):
+        norm = max(abs(x) for x in v)
+        if not norm:
+            continue
+        if best is None or norm < best:
+            best, ties = norm, [tuple(v)]
+        elif norm == best:
+            ties.append(tuple(v))
     ties.sort()
     return best, ties
 
@@ -334,7 +326,7 @@ def minima_bruteforce(lattice, k, box=None, budget=DEFAULT_ENUM_BUDGET, threads=
     """First ``k`` successive minima in the infinity norm.
 
     Enumerates all integer combinations of the HNF basis with coefficients
-    in [-box, box]; the default box is the largest HNF pivot.  Witnesses
+    in [-box, box]; the default box is the largest HNF entry.  Witnesses
     are the lexicographically smallest vectors among ties.  ``threads`` is
     ignored: the search runs on one thread and results never depended on it.
     """
@@ -342,24 +334,16 @@ def minima_bruteforce(lattice, k, box=None, budget=DEFAULT_ENUM_BUDGET, threads=
     r = len(basis)
     if r < k:
         raise DomainError("lattice rank %d is below the requested count %d" % (r, k))
-    if box is None:
-        box = max(max(abs(x) for x in row) for row in basis)
-    box = int(box)
-    if box < 1:
-        raise DomainError("box must be at least 1")
-    total = (2 * box + 1) ** r
-    if total > budget:
-        raise ResourceError(
-            "enumeration of %d combinations exceeds the budget of %d" % (total, budget)
-        )
-    candidates = [x for c0 in range(-box, box + 1) for x in _enum_chunk(basis, c0, box, r - 1)]
-    candidates.sort()
+    box = _check_box(basis, box, budget)
+    vecs = enumerate_box(basis, box, budget)
+    candidates = sorted((max(abs(x) for x in v), tuple(v)) for v in vecs if any(v))
     lambdas = []
     witnesses = []
     for norm, vec in candidates:
         if len(lambdas) == k:
             break
-        if _independent(witnesses, vec):
+        # independent over Q iff the HNF of the witnesses gains a row
+        if len(hnf(witnesses + [vec])) > len(witnesses):
             lambdas.append(norm)
             witnesses.append(list(vec))
     if len(lambdas) < k:

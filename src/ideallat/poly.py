@@ -89,9 +89,6 @@ class MonomialOrder:
         # exponent in the least significant position.
         return (sum(p), tuple(-x for x in reversed(p)))
 
-    def greater(self, a, b):
-        return self.key(a) > self.key(b)
-
     def __eq__(self, other):
         return (
             isinstance(other, MonomialOrder)
@@ -179,12 +176,6 @@ class Polynomial:
     @property
     def is_zero(self):
         return not self.coeffs
-
-    def terms(self):
-        return list(self.coeffs.items())
-
-    def monomials(self):
-        return list(self.coeffs.keys())
 
     def _check_compat(self, other):
         if self.nvars != other.nvars:

@@ -28,9 +28,6 @@ class LeadingCoeffTable:
     def gen(self, mono):
         return self.entries[tuple(mono)][1]
 
-    def indices(self, mono):
-        return self.entries[tuple(mono)][0]
-
 
 @dataclass
 class QuotientRing:

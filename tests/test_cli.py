@@ -116,6 +116,13 @@ class TestQuotientCommand:
         assert code == 0
         assert json.loads(out) == {"vector": ["0", "6"]}
 
+    def test_order_must_cover_every_variable(self, tmp_path):
+        path = tmp_path / "ideal3.json"
+        path.write_text(json.dumps({"nvars": 3, "modulus": None, "generators": ["x^2", "y^2", "z^2"]}))
+        code, out, err = run_cli("quotient", "info", "--ideal", str(path), "--order", "lex:2,1")
+        assert (code, out) == (2, "")
+        assert err == "error: monomial order ranks 2 variables, the ideal has 3\n"
+
 
 class TestLatticeCommands:
     def test_extract_then_minima_pipeline(self, ideal_file, a_file, tmp_path):
@@ -188,6 +195,11 @@ class TestHardnessCommands:
         doc = json.loads(out)
         assert doc == {"element": "6*x", "norm": "6"}
 
+    @pytest.mark.parametrize("box", ["0", "-2"])
+    def test_box_below_one_is_domain_error(self, ideal_file, a_file, box):
+        code, out, err = run_cli("hardness", "spp", "--ideal", ideal_file, "--A", a_file, "--box=" + box)
+        assert (code, out, err) == (2, "", "error: box must be at least 1\n")
+
     def test_maxsub(self):
         code, out, _ = run_cli("hardness", "maxsub", "--r", "2", "--poly", "2-x")
         assert code == 0
@@ -255,6 +267,29 @@ class TestHashCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["valid"] is True
+
+    def test_unwritable_key_file_is_domain_error(self, tmp_path):
+        params_file = tmp_path / "hp.json"
+        params_file.write_text(json.dumps(HASH_PARAMS))
+        key_file = tmp_path / "missing" / "key.json"
+        code, out, err = run_cli(
+            "hash", "keygen", "--params", str(params_file), "--seed", "7", "-o", str(key_file)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write %s: " % key_file) and err.count("\n") == 1
+
+    def test_missing_input_file_is_domain_error(self, tmp_path):
+        params_file = tmp_path / "hp.json"
+        params_file.write_text(json.dumps(HASH_PARAMS))
+        key_file = tmp_path / "key.json"
+        code, _, _ = run_cli(
+            "hash", "keygen", "--params", str(params_file), "--seed", "7", "-o", str(key_file)
+        )
+        assert code == 0
+        missing = tmp_path / "missing.bin"
+        code, out, err = run_cli("hash", "digest", "--key", str(key_file), "--in", str(missing))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read %s: " % missing) and err.count("\n") == 1
 
     def test_invalid_params_exit_2(self, tmp_path):
         bad = dict(HASH_PARAMS, m="1")

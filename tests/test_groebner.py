@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from ideallat.errors import ResourceError
+from ideallat.errors import DomainError, ResourceError
 from ideallat.groebner import (
     Ideal,
     buchberger,
@@ -236,6 +236,14 @@ class TestBudget:
         gens = [P("x^2*y - 1", 2), P("x*y^2 - x", 2)]
         with pytest.raises(ResourceError):
             buchberger(Ideal(gens, 2), MonomialOrder("lex"), pair_budget=1)
+
+
+class TestOrderCoverage:
+    @pytest.mark.parametrize("priority", [(1, 0), (0, 1, 2, 3)])
+    def test_priority_must_cover_every_variable(self, priority):
+        ideal = Ideal([P("x^2", 3), P("y^2", 3), P("z^2", 3)], 3)
+        with pytest.raises(DomainError, match="monomial order ranks %d variables" % len(priority)):
+            buchberger(ideal, MonomialOrder("lex", priority))
 
 
 class TestPairCriteria:

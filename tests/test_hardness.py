@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from ideallat.errors import DegenerateCollisionError, DomainError, InfeasibleError
+from ideallat.errors import DegenerateCollisionError, DomainError, InfeasibleError, ResourceError
 from ideallat.groebner import Ideal, reduce_full
 from ideallat.hardness import (
     cyclic_shape,
@@ -185,6 +185,31 @@ class TestCyclicToCyclotomic:
         q = Q_of("x^2-1")
         out = cyclic_to_cyclotomic(self.exact_oracle, q, [P("x+1", 1)])
         assert out == P("x+1", 1)
+
+    def test_budget_bounds_the_coset_search(self):
+        # the kernel part has rank 3: 3^3 combinations at box 1 fit the
+        # budget, the coset search's 9^3 at its box of 4 does not
+        q = Q_of("x^2-1", "y^2-1", nvars=2)
+        gens = [P("x+2", 2)]
+        assert cyclic_to_cyclotomic(self.exact_oracle, q, gens, box=1) == P("x*y+x-y-1", 2)
+        with pytest.raises(ResourceError, match="729 combinations exceeds the budget of 100"):
+            cyclic_to_cyclotomic(self.exact_oracle, q, gens, box=1, budget=100)
+
+
+class TestSearchBox:
+    """spp and ssub share the lattice module's one box and budget check."""
+
+    @pytest.mark.parametrize("box", [0, -2])
+    def test_box_below_one_is_a_domain_error(self, box):
+        with pytest.raises(DomainError, match="box must be at least 1"):
+            spp_bruteforce(Q_of("x^2", "y", nvars=2), [P("6*x", 2)], box=box)
+        with pytest.raises(DomainError, match="box must be at least 1"):
+            ssub_bruteforce(variety_cyclotomic((3,)), [P("x-1", 1)], box=box)
+
+    def test_ssub_budget_message(self):
+        # <x-1> has rank 2 in Z[x]/<x^2+x+1>: 5^2 combinations at box 2
+        with pytest.raises(ResourceError, match="^enumeration of 25 combinations exceeds the budget of 10$"):
+            ssub_bruteforce(variety_cyclotomic((3,)), [P("x-1", 1)], box=2, budget=10)
 
 
 class TestVariety:

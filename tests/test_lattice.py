@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ideallat.errors import ResourceError
+from ideallat.errors import DomainError, ResourceError
 from ideallat.groebner import Ideal
 from ideallat.lattice import (
     IntegerLattice,
@@ -251,6 +251,14 @@ class TestMinima:
         lam, ties = shortest_nonzero(IntegerLattice([[1, 0], [0, 1]]), box=1)
         assert lam == 1
         assert ties == sorted(ties)
+
+    @pytest.mark.parametrize("box", [0, -2])
+    def test_box_below_one_is_a_domain_error(self, box):
+        lat = IntegerLattice([[1, 0], [0, 1]])
+        with pytest.raises(DomainError, match="box must be at least 1"):
+            shortest_nonzero(lat, box=box)
+        with pytest.raises(DomainError, match="box must be at least 1"):
+            minima_bruteforce(lat, 1, box=box)
 
 
 class TestSaturation:
