@@ -168,7 +168,8 @@ def _load_a_gens(path, nvars, modulus):
 
 def _cmd_groebner(args):
     ideal, order = _load_ideal(args.ideal, args.order)
-    gb = buchberger(ideal, order, pair_budget=args.budget)
+    # representations are not printed, so they are not tracked
+    gb = buchberger(ideal, order, pair_budget=args.budget, track=False)
     if args.short:
         gb = short_reduce(gb)
     return {

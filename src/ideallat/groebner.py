@@ -16,11 +16,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import add, le, sub
 
 from .errors import DomainError, ResourceError
 from .poly import (
     MonomialOrder,
     Polynomial,
+    _is_prime,
     leading_data,
     mono_div,
     mono_divides,
@@ -40,6 +42,8 @@ class Ideal:
     modulus: int | None = None
 
     def __post_init__(self):
+        if self.modulus is not None and not _is_prime(self.modulus):
+            raise DomainError("modulus %d is not prime" % self.modulus)
         if not self.generators:
             raise DomainError("an ideal needs at least one generator")
         for g in self.generators:
@@ -105,19 +109,6 @@ def _head(f, order):
 # ---------------------------------------------------------------------------
 # division
 
-class _Desc:
-    """Max-heap adapter for heapq: larger order key pops first."""
-
-    __slots__ = ("key", "mono")
-
-    def __init__(self, key, mono):
-        self.key = key
-        self.mono = mono
-
-    def __lt__(self, other):
-        return self.key > other.key
-
-
 def reduce_full(f, elements, order, record=False, step_budget=None):
     """Fully reduce ``f`` by ``elements``.
 
@@ -135,40 +126,39 @@ def reduce_full(f, elements, order, record=False, step_budget=None):
     modulus = f.modulus
     if elements and elements[0].modulus != modulus:
         raise DomainError("cannot reduce a polynomial against a basis over a different ring")
-    key = order.key
+    key, desc = order.key, order.desc_key
+    # (order key, index, lm, lc, terms): the smallest head first, then the lowest index
     heads = sorted(
-        ((_head(g, order), i) for i, g in enumerate(elements)),
-        key=lambda t: (key(t[0][0]), t[1]),
+        (key(lm), i, lm, lc, list(g.coeffs.items()))
+        for i, g in enumerate(elements)
+        for lc, lm in [leading_data(g, order)]
     )
     r = dict(f.coeffs)
     quotients = [dict() for _ in elements] if record else None
     steps = 0
-    heap = [_Desc(key(e), e) for e in r]
+    heap = [(desc(e), e) for e in r]
     heapq.heapify(heap)
     while heap:
-        e = heapq.heappop(heap).mono
+        e = heapq.heappop(heap)[1]
         while e in r:
             c = r[e]
-            hit = None
-            for (lm, lc), i in heads:
-                if mono_divides(lm, e) and c // lc != 0:
-                    hit = (lm, lc, i)
+            for _, i, lm, lc, terms in heads:
+                if all(map(le, lm, e)) and c // lc:
                     break
-            if hit is None:
+            else:
                 break
-            lm, lc, i = hit
             if step_budget is not None and steps >= step_budget:
                 raise ResourceError("reduction step budget of %d exceeded" % step_budget)
             q = c // lc
-            shift = mono_div(e, lm)
-            for e1, c1 in elements[i].coeffs.items():
-                em = tuple(a + b for a, b in zip(shift, e1))
+            shift = tuple(map(sub, e, lm))
+            for e1, c1 in terms:
+                em = tuple(map(add, shift, e1))
                 v = r.get(em, 0) - q * c1
                 if modulus is not None:
                     v %= modulus
                 if v:
-                    if em not in r and em != e:
-                        heapq.heappush(heap, _Desc(key(em), em))
+                    if em not in r:
+                        heapq.heappush(heap, (desc(em), em))
                     r[em] = v
                 elif em in r:
                     del r[em]

@@ -24,7 +24,6 @@ from .errors import (
     NumericDegeneracyError,
 )
 from .groebner import Ideal, leading_data, normal_form, reduce_full
-from .hashing import _is_prime
 from .lattice import (
     DEFAULT_ENUM_BUDGET,
     IntegerLattice,
@@ -36,7 +35,7 @@ from .lattice import (
     shortest_nonzero,
     solve_left,
 )
-from .poly import MonomialOrder, Polynomial, inf_norm, maxdeg
+from .poly import MonomialOrder, Polynomial, _is_prime, inf_norm, maxdeg
 from .quotient import build_quotient, coordinates, from_coordinates, multiplication_matrix, row_combination
 
 
@@ -113,22 +112,24 @@ def expansion_factor(q, k_tuple, samples=10000, rng_seed=0, coeff_bound=1,
                     if (c := rng.randint(-coeff_bound, coeff_bound))
                 }
 
-    best = Fraction(0)
+    # the best ratio so far is best_num / best_den, compared by cross-multiplying
+    best_num, best_den = 0, 1
     witness = Polynomial.zero(q.nvars, q.modulus)
     k_measured = 0
     count = 0
     for coeffs in candidates():
-        if not coeffs:
+        g = Polynomial._trusted(coeffs, q.nvars, q.modulus)
+        if g.is_zero:
             continue
-        g = Polynomial(coeffs, q.nvars, q.modulus)
         r, _, steps = reduce_full(g, q.gb.elements, q.gb.order)
         count += 1
         k_measured = max(k_measured, steps)
-        ratio = Fraction(inf_norm(r.centered_lift()), inf_norm(g.centered_lift()))
+        num, den = inf_norm(r.centered_lift()), inf_norm(g.centered_lift())
         # the bound from one reduction pass holds sample by sample
-        assert ratio <= (2 * g_max) ** steps
-        if ratio > best:
-            best, witness = ratio, g
+        assert num <= (2 * g_max) ** steps * den
+        if num * best_den > best_num * den:
+            best_num, best_den, witness = num, den, g
+    best = Fraction(best_num, best_den)
     bound = (2 * g_max) ** k_measured
     assert best <= bound
     return ExpansionReport(

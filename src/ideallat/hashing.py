@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, ResourceError, ValidationError
 from .groebner import Ideal, normal_form
-from .poly import MonomialOrder, Polynomial, inf_norm
+from .poly import MonomialOrder, Polynomial, _is_prime, inf_norm
 from .quotient import build_quotient, from_coordinates, multiplication_matrix, row_combination
 
 
@@ -62,15 +62,6 @@ class HashKey:
         if self.matrices is None:
             self.matrices = [multiplication_matrix(ai, self.ring()) for ai in self.a]
         return self.matrices
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for q in range(2, int(n**0.5) + 1):
-        if n % q == 0:
-            return False
-    return True
 
 
 def validate(params, strict=False):

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .groebner import Ideal
-from .poly import MonomialOrder, Polynomial, parse_polynomial
+from .poly import MonomialOrder, Polynomial, _is_prime, parse_polynomial
 
 
 def int_str(v):
@@ -38,6 +38,22 @@ def poly_to_obj(f):
     }
 
 
+def _prime_modulus(value):
+    """``value`` as a modulus, checked to be prime before any arithmetic."""
+    try:
+        p = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError("malformed modulus %r" % (value,)) from exc
+    if not _is_prime(p):
+        raise DomainError("modulus %d is not prime" % p)
+    return p
+
+
+def _modulus_from_obj(obj):
+    mod = obj.get("modulus")
+    return None if mod is None else _prime_modulus(mod)
+
+
 def poly_from_obj(obj, nvars=None, modulus=None):
     if isinstance(obj, str):
         if nvars is None:
@@ -45,8 +61,7 @@ def poly_from_obj(obj, nvars=None, modulus=None):
         return parse_polynomial(obj, nvars, modulus)
     try:
         nv = int(obj["nvars"])
-        mod = obj.get("modulus")
-        mod = None if mod is None else int(mod)
+        mod = _modulus_from_obj(obj)
         coeffs = {tuple(t["e"]): int(t["c"]) for t in obj["terms"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("malformed polynomial object: %s" % exc) from exc
@@ -78,10 +93,9 @@ def ideal_to_obj(ideal):
 def ideal_from_obj(obj):
     try:
         nv = int(obj["nvars"])
-        mod = obj.get("modulus")
-        mod = None if mod is None else int(mod)
+        mod = _modulus_from_obj(obj)
         gens = [poly_from_obj(g, nv, mod) for g in obj["generators"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("malformed ideal object: %s" % exc) from exc
     return Ideal(gens, nv, mod)
 
@@ -115,7 +129,7 @@ def key_from_obj(obj):
 
     try:
         params = HashParams(
-            p=int(obj["p"]),
+            p=_prime_modulus(obj["p"]),
             ideal=ideal_from_obj(obj["ideal"]),
             order=order_from_str(obj["order"]),
             d=int(obj["d"]),

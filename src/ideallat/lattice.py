@@ -4,7 +4,10 @@ saturation testing.
 
 The HNF convention is pinned because coordinate vectors feed golden tests:
 row style, upper echelon, positive pivots, entries above each pivot
-reduced into [0, pivot).  All elimination is exact integer arithmetic.
+reduced into [0, pivot).  All elimination is exact integer arithmetic, in
+one loop: it builds the unimodular transform U only on request
+(``hnf_with_transform``, for ``solve_left`` and ``intersect``), so ``hnf``
+and lattice extraction never pay for it.
 
 Every exact lattice search (shortest vector, successive minima, and the
 coset and substitution searches of ``hardness``) walks one coefficient
@@ -30,34 +33,38 @@ def _copy_matrix(rows):
 
 def hnf(rows):
     """Canonical Hermite normal form of the row span; zero rows dropped."""
-    H, _, rank = hnf_with_transform(rows)
-    return [row for row in H[:rank]]
+    H, _, rank = hnf_with_transform(rows, transform=False)
+    return H[:rank]
 
 
-def hnf_with_transform(rows):
+def hnf_with_transform(rows, transform=True):
     """(H, U, rank) with U unimodular, U*rows = H in echelon form.
 
     H keeps its zero rows at the bottom so that U[rank:] is a basis of the
-    left kernel of the input matrix.
+    left kernel of the input matrix.  With ``transform`` false the same
+    elimination runs on H alone and U is None.
     """
     A = _copy_matrix(rows)
     if not A:
-        return [], [], 0
+        return [], ([] if transform else None), 0
     m, n = len(A), len(A[0])
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
 
-    def row_op(i, j, q):
-        # A[i] -= q*A[j], mirrored on U
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+    def row_op(i, j, q, col):
+        # row i -= q * row j; row j of A is zero left of col
+        A[i][col:] = [a - q * b for a, b in zip(A[i][col:], A[j][col:])]
+        if transform:
+            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def swap(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+        if transform:
+            U[i], U[j] = U[j], U[i]
 
     def negate(i):
         A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
+        if transform:
+            U[i] = [-a for a in U[i]]
 
     r = 0
     for col in range(n):
@@ -73,14 +80,14 @@ def hnf_with_transform(rows):
                 break
             for i in range(r + 1, m):
                 if A[i][col]:
-                    row_op(i, r, A[i][col] // A[r][col])
+                    row_op(i, r, A[i][col] // A[r][col], col)
         if r < m and A[r][col]:
             if A[r][col] < 0:
                 negate(r)
             for i in range(r):
                 q = A[i][col] // A[r][col]
                 if q:
-                    row_op(i, r, q)
+                    row_op(i, r, q, col)
             r += 1
             if r == m:
                 break
@@ -330,6 +337,8 @@ def minima_bruteforce(lattice, k, box=None, budget=DEFAULT_ENUM_BUDGET, threads=
     are the lexicographically smallest vectors among ties.  ``threads`` is
     ignored: the search runs on one thread and results never depended on it.
     """
+    if k < 1:
+        raise DomainError("the number of minima must be at least 1, got %d" % k)
     basis = lattice.hnf
     r = len(basis)
     if r < k:

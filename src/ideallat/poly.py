@@ -10,6 +10,7 @@ a pure function, so objects can be shared freely across threads.
 from __future__ import annotations
 
 import re
+from operator import neg
 
 from .errors import ArityError, DomainError, ParseError
 
@@ -42,6 +43,15 @@ def mono_div(b, a):
 
 def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    for q in range(2, int(n**0.5) + 1):
+        if n % q == 0:
+            return False
+    return True
 
 
 def format_monomial(e, nvars):
@@ -88,6 +98,19 @@ class MonomialOrder:
         # grevlex: higher total degree wins; ties broken by the smaller
         # exponent in the least significant position.
         return (sum(p), tuple(-x for x in reversed(p)))
+
+    def desc_key(self, e):
+        """Flat key of the reversed order: a precedes b iff desc_key(a) > desc_key(b).
+
+        A plain tuple of ints, so a heap of (desc_key(e), e) pops the
+        largest monomial first and compares keys without Python code.
+        """
+        p = e if self.priority is None else [e[i] for i in self.priority]
+        if self.kind == "lex":
+            return tuple(map(neg, p))
+        if self.kind == "grlex":
+            return (-sum(p), *map(neg, p))
+        return (-sum(p), *p[::-1])
 
     def __eq__(self, other):
         return (

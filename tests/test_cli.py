@@ -85,6 +85,31 @@ class TestGroebnerCommand:
         assert doc["elements"] == ["x^2", "y"]
         assert doc["monic"] is True
 
+    @pytest.mark.parametrize("short", [False, True])
+    def test_completes_without_representations(self, tmp_path, monkeypatch, capsys, short):
+        """The command prints no representations, so it does not track them,
+        and prints the document a tracked completion gives."""
+        from ideallat import cli, jsonio
+        from ideallat.groebner import short_reduce
+
+        obj = {"nvars": 2, "modulus": None, "generators": ["3*x^2 + y", "2*x*y - y^2 + 4"]}
+        path = tmp_path / "ideal2.json"
+        path.write_text(json.dumps(obj))
+        tracks = []
+        real = cli.buchberger
+
+        def recording(*args, **kwargs):
+            tracks.append(kwargs.get("track", True))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "buchberger", recording)
+        assert cli.main(["groebner", "--ideal", str(path)] + ["--short"] * short) == 0
+        assert tracks == [False]
+        gb = real(jsonio.ideal_from_obj(obj), jsonio.order_from_str("lex"), track=True)
+        gb = short_reduce(gb) if short else gb
+        expected = {"order": "lex", "elements": [str(g) for g in gb.elements], "monic": gb.is_monic}
+        assert capsys.readouterr().out == jsonio.dumps(expected) + "\n"
+
     def test_unknown_flag_is_usage_error(self, ideal_file):
         code, out, err = run_cli("groebner", "--ideal", ideal_file, "--frobnicate")
         assert code == 1
@@ -123,6 +148,22 @@ class TestQuotientCommand:
         assert (code, out) == (2, "")
         assert err == "error: monomial order ranks 2 variables, the ideal has 3\n"
 
+    def test_malformed_variable_count_is_domain_error(self, tmp_path):
+        path = tmp_path / "ideal_nv.json"
+        path.write_text(json.dumps({"nvars": "two", "modulus": None, "generators": ["x"]}))
+        code, out, err = run_cli("quotient", "info", "--ideal", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed ideal object:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("modulus", ["4", "0"])
+    @pytest.mark.parametrize("gens", [["2*x^2+1"], ["x^2+1"]])
+    def test_modulus_must_be_prime(self, tmp_path, modulus, gens):
+        path = tmp_path / "ideal_mod.json"
+        path.write_text(json.dumps({"nvars": 1, "modulus": modulus, "generators": gens}))
+        code, out, err = run_cli("quotient", "info", "--ideal", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: modulus %s is not prime\n" % modulus
+
 
 class TestLatticeCommands:
     def test_extract_then_minima_pipeline(self, ideal_file, a_file, tmp_path):
@@ -145,6 +186,14 @@ class TestLatticeCommands:
         )
         assert code == 3
         assert out == ""
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_one_is_domain_error(self, tmp_path, k):
+        lat_file = tmp_path / "L.json"
+        lat_file.write_text(json.dumps([[3, 1], [0, 2]]))
+        code, out, err = run_cli("lattice", "minima", "--lattice", str(lat_file), "--k", k, "--box", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: the number of minima must be at least 1, got %s\n" % k
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_usage_error(self, tmp_path, threads):
@@ -277,6 +326,18 @@ class TestHashCommands:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write %s: " % key_file) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("p", ["0", "4"])
+    def test_key_modulus_must_be_prime(self, tmp_path, p):
+        params = tmp_path / "hp.json"
+        params.write_text(json.dumps(HASH_PARAMS))
+        code, out, _ = run_cli("hash", "keygen", "--params", str(params), "--seed", "7")
+        assert code == 0
+        key_file = tmp_path / "key.json"
+        key_file.write_text(json.dumps(dict(json.loads(out), p=p)))
+        code, out, err = run_cli("hash", "collide", "--key", str(key_file))
+        assert (code, out) == (2, "")
+        assert err == "error: modulus %s is not prime\n" % p
 
     def test_missing_input_file_is_domain_error(self, tmp_path):
         params_file = tmp_path / "hp.json"

@@ -2,6 +2,7 @@
 membership, checked against independent oracles (bounded integer linear
 algebra, explicit certificates, brute-force combination search)."""
 
+import hashlib
 import itertools
 import random
 
@@ -19,6 +20,7 @@ from ideallat.groebner import (
     s_polynomial,
     short_reduce,
 )
+from ideallat.jsonio import ideal_from_obj, poly_from_obj
 from ideallat.poly import MonomialOrder, Polynomial, parse_polynomial
 
 from conftest import bounded_membership, random_ideal, random_polynomial
@@ -89,6 +91,60 @@ class TestNormalForm:
                 if qd:
                     acc = acc + Polynomial(qd, ideal.nvars) * g
             assert acc == f - r
+
+
+def _reduction_digest(modulus, kind, priority):
+    """sha256 prefix of (remainder, quotients, steps) over seeded reductions.
+
+    The reducers are random, not a Groebner basis, so several heads often
+    apply to one term and the choice rule (smallest lm, then lowest
+    index) decides the result.
+    """
+    rng = random.Random("reduce_full/%s/%s/%s" % (modulus, kind, priority))
+    order = MonomialOrder(kind, priority)
+    h = hashlib.sha256()
+    for _ in range(12):
+        elements = []
+        for _ in range(rng.randint(1, 4)):
+            g = random_polynomial(rng, 3, max_deg=2, max_terms=3, modulus=modulus)
+            lc = g.coeffs[max(g.coeffs, key=order.key)]
+            # heads as completion leaves them: positive over Z, monic over Z_p
+            elements.append(g * (pow(lc, -1, modulus) if modulus else (1 if lc > 0 else -1)))
+        f = random_polynomial(rng, 3, max_deg=4, max_coeff=30, max_terms=8, modulus=modulus)
+        r, quot, steps = reduce_full(f, elements, order, record=True)
+        h.update(repr((sorted(r.coeffs.items()), [sorted(q.items()) for q in quot], steps)).encode())
+    return h.hexdigest()[:16]
+
+
+class TestReduceFullGolden:
+    """Division results pinned as computed by the reference implementation."""
+
+    GOLDEN = {
+        (None, "lex", None): "3dd415be43f6101d",
+        (None, "lex", (2, 0, 1)): "8e8d7a86346e0ced",
+        (None, "grlex", None): "014435d1454c5001",
+        (None, "grlex", (2, 0, 1)): "6ad2e1f93509e8f1",
+        (None, "grevlex", None): "6afb8e687084c1c9",
+        (None, "grevlex", (2, 0, 1)): "dd3e40d7811fc422",
+        (13, "lex", None): "e97631860c19ee6a",
+        (13, "lex", (2, 0, 1)): "019f289da76da79c",
+        (13, "grlex", None): "f0427734e03d0d2b",
+        (13, "grlex", (2, 0, 1)): "62a2e6a3d263aae9",
+        (13, "grevlex", None): "5085ae693f40c8db",
+        (13, "grevlex", (2, 0, 1)): "18bcf7dff5dc5293",
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN, key=repr))
+    def test_remainder_quotients_and_steps(self, case):
+        assert _reduction_digest(*case) == self.GOLDEN[case]
+
+    def test_smallest_head_then_lowest_index(self):
+        # every head divides x*y; y is the smallest, and of the two equal
+        # heads y the lower index reduces
+        elements = [P("x", 2), P("y", 2), P("y", 2)]
+        r, quot, steps = reduce_full(P("3*x*y", 2), elements, MonomialOrder("lex"), record=True)
+        assert (r.is_zero, steps) == (True, 1)
+        assert quot == [{}, {(1, 0): 3}, {}]
 
 
 class TestMembership:
@@ -229,6 +285,20 @@ class TestFieldCase:
         f = P("x^2+1", 1, 5) * P("x+2", 1, 5)
         assert ideal_membership(f, gb)
         assert not ideal_membership(P("x+1", 1, 5), gb)
+
+    @pytest.mark.parametrize("modulus", [4, 1, 91])
+    def test_ideal_needs_a_prime_modulus(self, modulus):
+        with pytest.raises(DomainError, match="modulus %d is not prime" % modulus):
+            Ideal([P("x^2+1", 1, modulus)], 1, modulus)
+
+    @pytest.mark.parametrize("modulus", ["4", "0", "-7"])
+    def test_loaders_reject_a_composite_or_zero_modulus(self, modulus):
+        # checked before any coefficient is reduced, so "0" never divides
+        poly = {"nvars": 1, "modulus": modulus, "terms": [{"e": [2], "c": "2"}]}
+        with pytest.raises(DomainError, match="modulus %s is not prime" % modulus):
+            poly_from_obj(poly)
+        with pytest.raises(DomainError, match="modulus %s is not prime" % modulus):
+            ideal_from_obj({"nvars": 1, "modulus": modulus, "generators": ["2*x^2+1"]})
 
 
 class TestBudget:

@@ -105,6 +105,17 @@ class TestExpansionFactor:
         assert report.estimate == 2  # x+1 folds to the integer 2
         assert norm_mod(P("x+1", 1), q) == 2
 
+    def test_samples_that_vanish_mod_p_are_skipped(self):
+        # with coefficients up to p some Monte Carlo draws are 0 mod p; they
+        # are no samples, as the empty draw is not
+        q = build_quotient(Ideal([P("x^2+1", 1, 3)], 1, 3))
+        report = expansion_factor(q, (2,), samples=200, rng_seed=5, coeff_bound=3,
+                                  exhaustive_limit=0)
+        rng = random.Random(5)
+        draws = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(200)]
+        assert report.samples == sum(any(c % 3 for c in d) for d in draws) < 200
+        assert report.estimate <= report.theorem_bound
+
     def test_constants_have_ratio_one(self):
         q = Q_of("x^2-1")
         g = P("7", 1)

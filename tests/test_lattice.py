@@ -110,6 +110,31 @@ class TestHNF:
                 assert got == H[i]
             assert all(not any(H[i]) for i in range(rank, m))
 
+    @pytest.mark.parametrize("shape", ["tall", "wide", "rank_deficient", "zero_rows"])
+    def test_hnf_is_the_transform_loop_without_u(self, shape):
+        """hnf() keeps no transform; its rows are exactly the transform loop's."""
+        rng = random.Random("hnf/" + shape)
+        for _ in range(15):
+            if shape == "tall":
+                m, n = rng.randint(6, 12), rng.randint(2, 5)
+            else:
+                m, n = rng.randint(2, 6), rng.randint(6, 12)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            if shape == "rank_deficient":
+                base = rows[: rng.randint(1, m - 1)]
+                rows = [
+                    [sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(n)]
+                    for coeffs in ([rng.randint(-3, 3) for _ in base] for _ in range(m))
+                ]
+            elif shape == "zero_rows":
+                for _ in range(rng.randint(1, 3)):
+                    rows.insert(rng.randint(0, len(rows)), [0] * n)
+            H, U, rank = hnf_with_transform(rows)
+            assert hnf(rows) == H[:rank]
+            assert rank == rational_rank(rows)
+            for u, h in zip(U, H):
+                assert [sum(a * row[j] for a, row in zip(u, rows)) for j in range(n)] == h
+
     def test_determinant_equals_product_of_snf(self, rng):
         for _ in range(25):
             n = rng.randint(2, 4)
@@ -259,6 +284,11 @@ class TestMinima:
             shortest_nonzero(lat, box=box)
         with pytest.raises(DomainError, match="box must be at least 1"):
             minima_bruteforce(lat, 1, box=box)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_is_a_domain_error(self, k):
+        with pytest.raises(DomainError, match="at least 1"):
+            minima_bruteforce(IntegerLattice([[3, 1], [0, 2]]), k, box=2)
 
 
 class TestSaturation:

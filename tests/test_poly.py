@@ -147,6 +147,17 @@ class TestOrders:
                     bm = tuple(x + y for x, y in zip(b, c))
                     assert order.key(am) < order.key(bm)
 
+    @pytest.mark.parametrize("kind", ["lex", "grlex", "grevlex"])
+    @pytest.mark.parametrize("priority", [None, (2, 0, 1)])
+    def test_flat_descending_key_reverses_the_order(self, kind, priority):
+        order = MonomialOrder(kind, priority)
+        rng = random.Random("desc_key/%s/%s" % (kind, priority))
+        monos = [tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(300)]
+        assert sorted(monos, key=order.desc_key) == sorted(monos, key=order.key, reverse=True)
+        keys = [order.desc_key(m) for m in set(monos)]
+        assert len(set(keys)) == len(keys)
+        assert all(type(x) is int for k in keys for x in k)
+
     def test_priority_permutation(self):
         order = MonomialOrder("lex", priority=(1, 0))
         # y is now most significant
