@@ -4,6 +4,10 @@ One subcommand per module; stdout carries exactly one JSON document on
 success and diagnostics go to stderr.  Exit codes: 0 success, 1 usage,
 2 domain or validation error, 3 budget exceeded.  Identical argv and seed
 give byte-identical stdout.
+
+Each process runs one command, so the module level imports only what every
+command needs (errors, poly, groebner, jsonio); each handler imports the
+modules its verb uses (quotient, lattice, cyclic, hardness, hashing).
 """
 
 from __future__ import annotations
@@ -13,32 +17,9 @@ import math
 import sys
 
 from . import __version__, jsonio
-from .cyclic import Tensor, cyclic_shift, is_multivariate_cyclic
 from .errors import DomainError, IdealLatError, ParseError, ResourceError
 from .groebner import buchberger, short_reduce
-from .hardness import (
-    expansion_factor,
-    gaussian_width,
-    incspp_via_collisions,
-    max_coefficient,
-    max_substitution,
-    norm_mod,
-    spp_bruteforce,
-    variety_cyclotomic,
-)
-from .hashing import (
-    _checked_quotient,
-    _keygen_on,
-    collision_oracle,
-    digest,
-    encode_bytes,
-    find_collision_bruteforce,
-    keygen,
-    verify_collision,
-)
-from .lattice import DEFAULT_ENUM_BUDGET, IntegerLattice, ideal_to_lattice, minima_bruteforce
 from .poly import format_monomial, format_polynomial, parse_polynomial
-from .quotient import build_quotient, coordinates
 
 
 class _Usage(Exception):
@@ -99,7 +80,7 @@ def _build_parser():
     lm.add_argument("--lattice", required=True)
     lm.add_argument("--k", type=int, required=True)
     lm.add_argument("--box", type=int, default=None)
-    lm.add_argument("--budget", type=_budget, default=DEFAULT_ENUM_BUDGET)
+    lm.add_argument("--budget", type=_budget, default=None)
     lm.add_argument("--threads", type=_positive_int, default=1)
 
     c = sub.add_parser("cyclic", help="tensor shifts and shift-closure checks")
@@ -126,7 +107,7 @@ def _build_parser():
     hs.add_argument("--A", required=True, dest="a_gens")
     hs.add_argument("--gamma", type=float, default=1)
     hs.add_argument("--box", type=int, default=None)
-    hs.add_argument("--budget", type=_budget, default=DEFAULT_ENUM_BUDGET)
+    hs.add_argument("--budget", type=_budget, default=None)
     hm = hsub.add_parser("maxsub")
     hm.add_argument("--r", type=_int_list, required=True)
     hm.add_argument("--poly", required=True)
@@ -180,6 +161,8 @@ def _cmd_groebner(args):
 
 
 def _cmd_quotient(args):
+    from .quotient import build_quotient, coordinates
+
     ideal, order = _load_ideal(args.ideal, args.order)
     q = build_quotient(ideal, order)
     if args.verb == "info":
@@ -195,15 +178,20 @@ def _cmd_quotient(args):
 
 def _cmd_lattice(args):
     if args.verb == "extract":
+        from .lattice import ideal_to_lattice
+        from .quotient import build_quotient
+
         ideal, order = _load_ideal(args.ideal, args.order)
         q = build_quotient(ideal, order)
         gens = _load_a_gens(args.a_gens, ideal.nvars, ideal.modulus)
         lat = ideal_to_lattice(q, gens)
         return {"hnf": jsonio.matrix_to_obj(lat.hnf), "rank": jsonio.int_str(lat.rank)}
+    from .lattice import DEFAULT_ENUM_BUDGET, IntegerLattice, minima_bruteforce
+
     rows = jsonio.matrix_from_obj(jsonio.load_json(args.lattice))
     lat = IntegerLattice(rows)
     report = minima_bruteforce(
-        lat, args.k, box=args.box, budget=args.budget, threads=args.threads
+        lat, args.k, box=args.box, budget=args.budget or DEFAULT_ENUM_BUDGET, threads=args.threads
     )
     return {
         "lambdas": [jsonio.int_str(v) for v in report.lambdas],
@@ -214,12 +202,17 @@ def _cmd_lattice(args):
 
 def _cmd_cyclic(args):
     if args.verb == "check":
+        from .cyclic import is_multivariate_cyclic
+        from .lattice import IntegerLattice
+
         rows = jsonio.matrix_from_obj(jsonio.load_json(args.lattice))
         size = 1
         for r in args.shape:
             size *= r
         lat = IntegerLattice(rows) if rows else IntegerLattice([], ambient_dim=size)
         return {"cyclic": is_multivariate_cyclic(lat, args.shape)}
+    from .cyclic import Tensor, cyclic_shift
+
     obj = jsonio.load_json(args.tensor)
     try:
         shape = tuple(int(x) for x in obj["shape"])
@@ -235,6 +228,9 @@ def _cmd_cyclic(args):
 
 def _cmd_hardness(args):
     if args.verb == "expansion":
+        from .hardness import expansion_factor
+        from .quotient import build_quotient
+
         ideal, order = _load_ideal(args.ideal, args.order)
         q = build_quotient(ideal, order)
         report = expansion_factor(
@@ -256,12 +252,19 @@ def _cmd_hardness(args):
             "exhaustive": report.exhaustive,
         }
     if args.verb == "spp":
+        from .hardness import norm_mod, spp_bruteforce
+        from .lattice import DEFAULT_ENUM_BUDGET
+        from .quotient import build_quotient
+
         ideal, order = _load_ideal(args.ideal, args.order)
         q = build_quotient(ideal, order)
         gens = _load_a_gens(args.a_gens, ideal.nvars, ideal.modulus)
-        g = spp_bruteforce(q, gens, gamma=args.gamma, box=args.box, budget=args.budget)
+        budget = args.budget or DEFAULT_ENUM_BUDGET
+        g = spp_bruteforce(q, gens, gamma=args.gamma, box=args.box, budget=budget)
         return {"element": format_polynomial(g), "norm": jsonio.int_str(norm_mod(g, q))}
     if args.verb == "maxsub":
+        from .hardness import max_coefficient, max_substitution, variety_cyclotomic
+
         ctx = variety_cyclotomic(args.r)
         f = parse_polynomial(args.poly, len(args.r))
         return {
@@ -274,6 +277,10 @@ def _cmd_hardness(args):
 
 
 def _cmd_algo1(args):
+    from .hardness import gaussian_width, incspp_via_collisions, norm_mod
+    from .hashing import HashKey, HashParams, collision_oracle
+    from .quotient import build_quotient
+
     obj = jsonio.load_json(args.params)
     try:
         ideal = jsonio.ideal_from_obj(obj["ideal"])
@@ -289,8 +296,6 @@ def _cmd_algo1(args):
     q = build_quotient(ideal, order)
     gens = [jsonio.poly_from_obj(o, ideal.nvars, ideal.modulus) for o in a_objs]
     g = jsonio.poly_from_obj(g_obj, ideal.nvars, ideal.modulus)
-    from .hashing import HashKey, HashParams
-
     params = HashParams(p=p, ideal=ideal, order=order, d=d, m=m, eta=eta)
     key = HashKey(params=params, a=())
     oracle_fn = collision_oracle(key, budget=args.budget)
@@ -306,6 +311,8 @@ def _cmd_algo1(args):
 
 def _cmd_hash(args):
     if args.verb == "keygen":
+        from .hashing import _checked_quotient, _keygen_on, keygen
+
         params = jsonio.params_from_obj(jsonio.load_json(args.params))
         if args.strict:
             key = _keygen_on(_checked_quotient(params, strict=True), params, args.seed)
@@ -321,6 +328,9 @@ def _cmd_hash(args):
         return obj
     key = jsonio.key_from_obj(jsonio.load_json(args.key))
     if args.verb == "digest":
+        from .hashing import digest, encode_bytes
+        from .quotient import coordinates
+
         try:
             with open(args.infile, "rb") as fh:
                 data = fh.read()
@@ -333,6 +343,8 @@ def _cmd_hash(args):
             "digest": format_polynomial(out),
             "vector": [jsonio.int_str(x) for x in coordinates(out, q)],
         }
+    from .hashing import find_collision_bruteforce, verify_collision
+
     alpha, beta = find_collision_bruteforce(key, budget=args.budget)
     return {
         "alpha": [format_polynomial(f) for f in alpha],

@@ -99,6 +99,13 @@ def snf(rows):
     A = _copy_matrix(rows)
     if not A or not A[0]:
         return []
+    while len(A) < len(A[0]):
+        # column operations keep the invariant factors: on a wide matrix the
+        # edging loop below lets entries grow without bound, so it runs on
+        # the HNF of the transpose, square after at most two rounds
+        A = hnf(list(zip(*A)))
+        if not A:
+            return []
     m, n = len(A), len(A[0])
     factors = []
     s = 0

@@ -9,6 +9,7 @@ a pure function, so objects can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 import re
 from operator import neg
 
@@ -45,13 +46,37 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n):
+    """Exact primality: deterministic Miller-Rabin below ``_MR_EXACT_BELOW``;
+    above it a passing n is confirmed by trial division."""
     if n < 2:
         return False
-    for q in range(2, int(n**0.5) + 1):
-        if n % q == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-    return True
+    if n < _MR_EXACT_BELOW:
+        return True
+    return all(n % q for q in range(43, math.isqrt(n) + 1, 2))
 
 
 def format_monomial(e, nvars):

@@ -2,10 +2,13 @@
 byte-level determinism."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
+
+import ideallat
 
 IDEAL_EX = {
     "nvars": 2,
@@ -155,7 +158,7 @@ class TestQuotientCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: malformed ideal object:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("modulus", ["4", "0"])
+    @pytest.mark.parametrize("modulus", ["4", "0", pytest.param("1" + "0" * 400, id="10^400")])
     @pytest.mark.parametrize("gens", [["2*x^2+1"], ["x^2+1"]])
     def test_modulus_must_be_prime(self, tmp_path, modulus, gens):
         path = tmp_path / "ideal_mod.json"
@@ -209,14 +212,151 @@ class TestLatticeCommands:
 
 
 
+# the public names of the package, by defining module
+PUBLIC = {
+    "cyclic": "Tensor cyclic_shift element_of is_multivariate_cyclic tensor_of",
+    "errors": "ArityError DegenerateCollisionError DomainError IdealLatError InfeasibleError"
+    " InfiniteDimensionError NumericDegeneracyError ParseError RepresentationError"
+    " ResourceError ValidationError",
+    "groebner": "GroebnerBasis Ideal buchberger ideal_membership normal_form short_reduce",
+    "hardness": "ExpansionReport VarietyContext cyclic_to_cyclotomic cyclotomic_sum_ideal"
+    " expansion_factor incspp_step incspp_via_collisions max_coefficient max_substitution"
+    " norm_mod primality_certificate spp_bruteforce ssub_bruteforce variety_cyclotomic",
+    "hashing": "HashKey HashParams digest find_collision_bruteforce keygen validate verify_collision",
+    "lattice": "IntegerLattice MinimaReport hnf ideal_to_lattice is_full_rank_ideal is_saturated"
+    " minima_bruteforce snf",
+    "poly": "MonomialOrder Polynomial format_polynomial inf_norm leading_data maxdeg parse_polynomial",
+    "quotient": "QuotientRing build_quotient coordinates from_coordinates lattice_ideal"
+    " multiplication_matrix quotient_mul",
+}
+
+CORE = {"cli", "errors", "groebner", "jsonio", "poly"}
+HARDNESS = CORE | {"quotient", "lattice", "hardness"}
+HASH = CORE | {"quotient", "hashing"}
+
+# argv with @name for a file of the cli_files fixture, and the ideallat
+# submodules the command loads
+COMMAND_MODULES = [
+    (["groebner", "--ideal", "@ideal", "--short"], CORE),
+    (["quotient", "info", "--ideal", "@ideal"], CORE | {"quotient"}),
+    (["quotient", "phi", "--ideal", "@ideal", "--poly", "6*x"], CORE | {"quotient"}),
+    (["lattice", "extract", "--ideal", "@ideal", "--A", "@A"], CORE | {"quotient", "lattice"}),
+    (["lattice", "minima", "--lattice", "@L", "--k", "1", "--box", "2"], CORE | {"quotient", "lattice"}),
+    (["cyclic", "check", "--lattice", "@L", "--shape", "2"], CORE | {"cyclic", "quotient", "lattice"}),
+    (["cyclic", "shift", "--tensor", "@T", "--axis", "2"], CORE | {"cyclic"}),
+    (["hardness", "expansion", "--ideal", "@ideal", "--k", "2,2", "--samples", "20", "--seed", "1"], HARDNESS),
+    (["hardness", "spp", "--ideal", "@ideal", "--A", "@A"], HARDNESS),
+    (["hardness", "maxsub", "--r", "2", "--poly", "2-x"], HARDNESS),
+    (["hardness", "algo1", "--params", "@algo1", "--seed", "7"], HARDNESS | {"hashing"}),
+    (["hash", "keygen", "--params", "@params", "--seed", "7"], HASH),
+    (["hash", "digest", "--key", "@key", "--in", "@msg"], HASH),
+    (["hash", "collide", "--key", "@key"], HASH),
+]
+
+# runs one command through cli.main and prints its exit code and the
+# ideallat submodules it loaded
+MODULES_PROBE = """
+import contextlib, io, json, sys
+from ideallat import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m.partition(".")[2] for m in sys.modules if m.startswith("ideallat."))]))
+"""
+
+PACKAGE_MODULES = ["ideallat"] + [
+    "ideallat." + path.stem
+    for path in sorted(pathlib.Path(ideallat.__file__).parent.glob("*.py"))
+    if path.stem != "__init__"
+]
+
+
+def run_python(code, *args):
+    """Runs ``code`` in a fresh interpreter and returns its stdout."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    files = {
+        "ideal": IDEAL_EX,
+        "A": A_GENS,
+        "L": [[3, 1], [0, 2]],
+        "T": {"shape": [2, 3], "data": [1, 2, 3, 4, 5, 6]},
+        "algo1": ALGO1_PARAMS,
+        "params": HASH_PARAMS,
+    }
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps(obj))
+    paths["msg"] = tmp_path / "msg.bin"
+    paths["msg"].write_bytes(b"\x02")
+    paths["key"] = tmp_path / "key.json"
+    code, _, err = run_cli("hash", "keygen", "--params", str(paths["params"]), "--seed", "7", "-o", str(paths["key"]))
+    assert code == 0, err
+    return {name: str(path) for name, path in paths.items()}
+
+
 class TestStartup:
     def test_import_does_not_load_numpy(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import ideallat, sys; assert 'numpy' not in sys.modules"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
+        run_python("import ideallat, sys; assert 'numpy' not in sys.modules")
+
+    def test_import_loads_no_submodule(self):
+        out = run_python("import ideallat, sys; print(sorted(m for m in sys.modules if 'ideallat' in m))")
+        assert out == "['ideallat']\n"
+
+    @pytest.mark.parametrize("module", PACKAGE_MODULES)
+    def test_every_module_imports_first(self, module):
+        """The package once loaded every module in one fixed order, which
+        would hide an import cycle; each must import on its own."""
+        run_python("import " + module)
+
+    @pytest.mark.parametrize(
+        "argv, modules", COMMAND_MODULES, ids=[" ".join(argv[:2]) for argv, _ in COMMAND_MODULES]
+    )
+    def test_command_loads_only_its_modules(self, cli_files, argv, modules):
+        argv = [cli_files[a[1:]] if a.startswith("@") else a for a in argv]
+        code, loaded = json.loads(run_python(MODULES_PROBE, *argv))
+        assert code == 0
+        assert set(loaded) == modules
+
+    def test_public_names_resolve_lazily(self):
+        code = """
+import importlib, json, sys
+import ideallat
+public = json.loads(sys.argv[1])
+print(json.dumps({
+    "all": sorted(ideallat.__all__),
+    "same": all(
+        getattr(ideallat, name) is getattr(importlib.import_module("ideallat." + module), name)
+        for module, names in public.items()
+        for name in names.split()
+    ),
+    "dir": set(ideallat.__all__) <= set(dir(ideallat)),
+    "version": ideallat.__version__,
+}))
+"""
+        out = json.loads(run_python(code, json.dumps(PUBLIC)))
+        names = sorted(name for names in PUBLIC.values() for name in names.split())
+        assert len(names) == 65
+        assert out == {"all": names, "same": True, "dir": True, "version": "0.1.0"}
+
+    def test_star_import_and_unknown_names(self):
+        code = """
+import json
+from ideallat import *
+import ideallat
+try:
+    ideallat.no_such_name
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([sorted(n for n in ideallat.__all__ if n in globals()), missing]))
+"""
+        star, missing = json.loads(run_python(code))
+        assert star == sorted(name for names in PUBLIC.values() for name in names.split())
+        assert missing == "module 'ideallat' has no attribute 'no_such_name'"
 
 
 class TestCyclicCommands:

@@ -5,6 +5,7 @@ algebra, explicit certificates, brute-force combination search)."""
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -299,6 +300,15 @@ class TestFieldCase:
             poly_from_obj(poly)
         with pytest.raises(DomainError, match="modulus %s is not prime" % modulus):
             ideal_from_obj({"nvars": 1, "modulus": modulus, "generators": ["2*x^2+1"]})
+
+
+    def test_loaders_accept_a_large_prime_modulus_quickly(self):
+        modulus = str(10**16 + 61)
+        t0 = time.perf_counter()
+        ideal = ideal_from_obj({"nvars": 1, "modulus": modulus, "generators": ["2*x^2+1"]})
+        # trial division took seconds per check on this modulus
+        assert time.perf_counter() - t0 < 0.1
+        assert ideal.modulus == 10**16 + 61
 
 
 class TestBudget:

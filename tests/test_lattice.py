@@ -1,8 +1,12 @@
 """HNF/SNF, lattice extraction, successive minima and saturation, checked
 against mutual-membership, unimodular-invariance and small searches."""
 
+import hashlib
 import itertools
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -197,6 +201,84 @@ class TestSNFOracle:
                 assert prod == minor_gcd(rows, k)
             for a, b in zip(factors, factors[1:]):
                 assert b % a == 0
+
+
+def _snf_digest(shape):
+    """sha256 prefix of snf() over seeded wide matrices, wide rank-deficient
+    ones and their HNFs: the inputs that snf() takes through the HNF of
+    the transpose."""
+    rng = random.Random("snf/" + shape)
+    h = hashlib.sha256()
+    for _ in range(20):
+        m, n = rng.randint(2, 5), rng.randint(5, 8)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if shape != "wide":
+            base = rows[: rng.randint(1, m - 1)]
+            rows = [
+                [sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(n)]
+                for coeffs in ([rng.randint(-3, 3) for _ in base] for _ in range(m))
+            ]
+        if shape == "hnf":
+            rows = hnf(rows)
+        h.update(repr(snf(rows)).encode())
+    return h.hexdigest()[:16]
+
+
+class TestSNFWide:
+    """Wide and rank-deficient inputs, where the edging loop used to run on
+    the matrix as given."""
+
+    # computed by the edging loop on the matrix as given
+    GOLDEN = {
+        "wide": "926fd65a04f0ff25",
+        "rank_deficient": "d1ca378246c0daa4",
+        "hnf": "2052fb0663242469",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(GOLDEN))
+    def test_factors_are_unchanged(self, shape):
+        assert _snf_digest(shape) == self.GOLDEN[shape]
+
+    def test_matches_sympy(self, rng):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        for _ in range(30):
+            m, n = rng.randint(1, 4), rng.randint(2, 6)
+            base = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(rng.randint(1, m))]
+            rows = [
+                [sum(rng.randint(-2, 2) * row[j] for row in base) for j in range(n)]
+                for _ in range(m)
+            ]
+            D = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+            theirs = [abs(int(D[i, i])) for i in range(min(m, n)) if D[i, i]]
+            assert snf(rows) == theirs
+
+    def test_rank_deficient_ideal_lattice_of_77_finishes(self):
+        """x^7-1 and y^11-1 vanish at (1, 1), so a generator whose
+        coefficients sum to 0 spans a lattice of rank 76 in Z^77; its 76x77
+        HNF has entries of hundreds of bits."""
+        code = "\n".join([
+            "import json, random",
+            "from ideallat import Ideal, MonomialOrder, Polynomial, build_quotient, ideal_to_lattice",
+            "rng = random.Random(77)",
+            "coeffs = {(i, j): rng.randint(-4, 4) for i in range(7) for j in range(11)}",
+            "coeffs[(0, 0)] -= sum(coeffs.values())",
+            "ring = Ideal([Polynomial({(7, 0): 1, (0, 0): -1}, 2),"
+            " Polynomial({(0, 11): 1, (0, 0): -1}, 2)], 2)",
+            "q = build_quotient(ring, MonomialOrder('lex'))",
+            "lat = ideal_to_lattice(q, [Polynomial(coeffs, 2)])",
+            "print(json.dumps([lat.rank, lat.snf_factors]))",
+        ])
+        # about a second here; the edging loop on the 76x77 HNF ran for minutes
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        rank, factors = json.loads(proc.stdout)
+        assert rank == len(factors) == 76
+        assert all(d > 0 for d in factors)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
 
 class TestExtraction:

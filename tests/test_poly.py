@@ -1,5 +1,6 @@
 """Polynomial arithmetic, monomial orders, norms and the text grammar."""
 
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ideallat.errors import ArityError, DomainError, ParseError
 from ideallat.poly import (
     MonomialOrder,
+    _is_prime,
     Polynomial,
     format_polynomial,
     inf_norm,
@@ -221,3 +223,19 @@ class TestTextFormat:
     def test_negative_exponent_rejected(self):
         with pytest.raises(DomainError):
             Polynomial({(-1,): 2}, 1)
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_1e5(self):
+        for n in range(-2, 10**5):
+            expected = n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+            assert _is_prime(n) == expected, n
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and 2, ..., 23
+        assert not _is_prime(n)
+
+    @pytest.mark.parametrize("n, prime", [(10**16 + 61, True), (10**16 + 63, False), (10**400, False)])
+    def test_large_inputs(self, n, prime):
+        assert _is_prime(n) == prime
