@@ -2,8 +2,8 @@
 
 One subcommand per module; stdout carries exactly one JSON document on
 success and diagnostics go to stderr.  Exit codes: 0 success, 1 usage,
-2 domain or validation error, 3 budget exceeded.  Identical argv and seed
-give byte-identical stdout.
+3 budget exceeded, 2 any other library error (domain, validation, parse
+or arity).  Identical argv and seed give byte-identical stdout.
 
 Each process runs one command, so the module level imports only what every
 command needs (errors, poly, groebner, jsonio); each handler imports the
@@ -380,9 +380,6 @@ def main(argv=None):
     except ResourceError as exc:
         print("resource error: %s" % exc, file=sys.stderr)
         return 3
-    except (DomainError, ParseError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except IdealLatError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

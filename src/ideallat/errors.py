@@ -1,7 +1,7 @@
 """Exception hierarchy shared by the library and the CLI.
 
-CLI exit-code mapping: usage errors exit 1, DomainError (and subclasses)
-exit 2, ResourceError exit 3.
+CLI exit-code mapping: usage errors exit 1, ResourceError exits 3 and
+every other library error, ArityError included, exits 2.
 """
 
 

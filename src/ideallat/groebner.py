@@ -182,25 +182,32 @@ def ideal_membership(f, gb):
 # ---------------------------------------------------------------------------
 # pair polynomials
 
-def s_polynomial(f, g, order):
-    lmf, lcf = _head(f, order)
-    lmg, lcg = _head(g, order)
+def _pair_cofactors(lmf, lcf, lmg, lcg, kind, modulus):
+    """(cf, tf, cg, tg) with cf*x^tf*f + cg*x^tg*g the S-polynomial (kind 0)
+    or G-polynomial (kind 1) of f and g, given their heads."""
     gamma = mono_lcm(lmf, lmg)
-    if f.modulus is not None:
-        return f.term_multiple(1, mono_div(gamma, lmf)) - g.term_multiple(1, mono_div(gamma, lmg))
-    l = abs(lcf * lcg) // math.gcd(lcf, lcg)
-    return f.term_multiple(l // lcf, mono_div(gamma, lmf)) - g.term_multiple(
-        l // lcg, mono_div(gamma, lmg)
-    )
+    if kind == 1:
+        _, cf, cg = _xgcd(lcf, lcg)
+    elif modulus is not None:
+        cf, cg = 1, -1
+    else:
+        l = abs(lcf * lcg) // math.gcd(lcf, lcg)
+        cf, cg = l // lcf, -(l // lcg)
+    return cf, mono_div(gamma, lmf), cg, mono_div(gamma, lmg)
+
+
+def _pair_polynomial(f, g, order, kind):
+    cf, tf, cg, tg = _pair_cofactors(*_head(f, order), *_head(g, order), kind, f.modulus)
+    return f.term_multiple(cf, tf) + g.term_multiple(cg, tg)
+
+
+def s_polynomial(f, g, order):
+    return _pair_polynomial(f, g, order, 0)
 
 
 def g_polynomial(f, g, order):
     """Bezout combination with leading term gcd(lc f, lc g) * lcm(lm f, lm g)."""
-    lmf, lcf = _head(f, order)
-    lmg, lcg = _head(g, order)
-    gamma = mono_lcm(lmf, lmg)
-    _, u, v = _xgcd(lcf, lcg)
-    return f.term_multiple(u, mono_div(gamma, lmf)) + g.term_multiple(v, mono_div(gamma, lmg))
+    return _pair_polynomial(f, g, order, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -348,26 +355,19 @@ def _representations(derivs, heads, wanted, n_gens, nv, modulus):
 
 def _pair_rep(heads, reps, i, j, kind, quot, nv, modulus):
     """Representation of the reduced pair polynomial over the original generators."""
-    lmf, lcf = heads[i]
-    lmg, lcg = heads[j]
-    gamma = mono_lcm(lmf, lmg)
-    if kind == 0:
-        if modulus is not None:
-            cf, cg = 1, -1
-        else:
-            l = abs(lcf * lcg) // math.gcd(lcf, lcg)
-            cf, cg = l // lcf, -(l // lcg)
-    else:
-        _, u, v = _xgcd(lcf, lcg)
-        cf, cg = u, v
-    tf = Polynomial.monomial(mono_div(gamma, lmf), nv, cf, modulus)
-    tg = Polynomial.monomial(mono_div(gamma, lmg), nv, cg, modulus)
-    rep = [tf * a + tg * b for a, b in zip(reps[i], reps[j])]
-    for idx, qd in enumerate(quot):
-        if not qd:
-            continue
-        qp = Polynomial(qd, nv, modulus)
-        rep = [a - qp * b for a, b in zip(rep, reps[idx])]
+    cf, tf, cg, tg = _pair_cofactors(*heads[i], *heads[j], kind, modulus)
+    pf = Polynomial.monomial(tf, nv, cf, modulus)
+    pg = Polynomial.monomial(tg, nv, cg, modulus)
+    rep = [pf * a + pg * b for a, b in zip(reps[i], reps[j])]
+    return _subtract_quotients(rep, quot, reps, nv, modulus)
+
+
+def _subtract_quotients(rep, quot, reps, nv, modulus):
+    """rep - sum_k quot[k] * reps[k], for the quotients of ``reduce_full``."""
+    for k, qd in enumerate(quot):
+        if qd:
+            qp = Polynomial(qd, nv, modulus)
+            rep = [a - qp * b for a, b in zip(rep, reps[k])]
     return rep
 
 
@@ -463,13 +463,7 @@ def short_reduce(gb):
         r, quot, _ = reduce_full(f - head_poly, new_elements, order, record=track)
         reduced.append(head_poly + r)
         if track:
-            rep = list(new_reps[pos])
-            for idx, qd in enumerate(quot):
-                if not qd:
-                    continue
-                qp = Polynomial(qd, f.nvars, f.modulus)
-                rep = [a - qp * b for a, b in zip(rep, new_reps[idx])]
-            red_reps.append(rep)
+            red_reps.append(_subtract_quotients(new_reps[pos], quot, new_reps, f.nvars, f.modulus))
 
     perm = _storage_order(reduced, order)
     out = GroebnerBasis(

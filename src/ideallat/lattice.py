@@ -5,9 +5,10 @@ saturation testing.
 The HNF convention is pinned because coordinate vectors feed golden tests:
 row style, upper echelon, positive pivots, entries above each pivot
 reduced into [0, pivot).  All elimination is exact integer arithmetic, in
-one loop: it builds the unimodular transform U only on request
-(``hnf_with_transform``, for ``solve_left`` and ``intersect``), so ``hnf``
-and lattice extraction never pay for it.
+one loop that computes every HNF and, through alternating transposes, the
+SNF.  It builds the unimodular transform U only on request
+(``hnf_with_transform``, for ``solve_left`` and ``intersect``), so ``hnf``,
+``snf`` and lattice extraction never pay for it.
 
 Every exact lattice search (shortest vector, successive minima, and the
 coset and substitution searches of ``hardness``) walks one coefficient
@@ -95,67 +96,21 @@ def hnf_with_transform(rows, transform=True):
 
 
 def snf(rows):
-    """Invariant factors d1 | d2 | ... of the integer matrix."""
-    A = _copy_matrix(rows)
-    if not A or not A[0]:
-        return []
-    while len(A) < len(A[0]):
-        # column operations keep the invariant factors: on a wide matrix the
-        # edging loop below lets entries grow without bound, so it runs on
-        # the HNF of the transpose, square after at most two rounds
+    """Invariant factors d1 | d2 | ... of the integer matrix.
+
+    Row HNFs of the matrix and of its transpose alternate until the matrix
+    is diagonal (Kannan & Bachem 1979; Cohen, GTM 138, 2.4); row and
+    column operations keep the invariant factors, and ``hnf`` drops zero
+    rows, so from the second round on the matrix is square of full rank.
+    This terminates: after each round the first unsettled pivot is the gcd
+    of its column (or row) within the unsettled block, so it is positive
+    and never increases, and once it stays the same through a transpose
+    round its row and column are cleared and it is settled.
+    """
+    A = hnf(rows)
+    while any(a for i, row in enumerate(A) for j, a in enumerate(row) if i != j):
         A = hnf(list(zip(*A)))
-        if not A:
-            return []
-    m, n = len(A), len(A[0])
-    factors = []
-    s = 0
-    while s < min(m, n):
-        # locate the smallest nonzero entry in the trailing block
-        best = None
-        for i in range(s, m):
-            for j in range(s, n):
-                if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i0, j0 = best
-        A[s], A[i0] = A[i0], A[s]
-        for row in A:
-            row[s], row[j0] = row[j0], row[s]
-        # clear the edging; restarts when a reduction leaves a smaller entry
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(s + 1, m):
-                if A[i][s]:
-                    q = A[i][s] // A[s][s]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[s])]
-                    if A[i][s]:
-                        A[s], A[i] = A[i], A[s]
-                        dirty = True
-            for j in range(s + 1, n):
-                if A[s][j]:
-                    q = A[s][j] // A[s][s]
-                    for row in A:
-                        row[j] -= q * row[s]
-                    if A[s][j]:
-                        for row in A:
-                            row[s], row[j] = row[j], row[s]
-                        dirty = True
-        # pivot must divide the whole trailing block
-        fixed = False
-        for i in range(s + 1, m):
-            if fixed:
-                break
-            for j in range(s + 1, n):
-                if A[i][j] % A[s][s]:
-                    A[s] = [a + b for a, b in zip(A[s], A[i])]
-                    fixed = True
-                    break
-        if fixed:
-            continue
-        factors.append(abs(A[s][s]))
-        s += 1
+    factors = [row[i] for i, row in enumerate(A)]
     # enforce the divisibility chain
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
@@ -198,7 +153,7 @@ class IntegerLattice:
     @property
     def snf_factors(self):
         if self._snf is None:
-            self._snf = snf(self.hnf) if self.hnf else []
+            self._snf = snf(self.hnf)
         return self._snf
 
     def contains(self, v):

@@ -20,30 +20,19 @@ from .poly import MonomialOrder, Polynomial, leading_data, mono_divides, var_nam
 
 
 @dataclass
-class LeadingCoeffTable:
-    """Per-monomial index set and gcd generator of the leading-coefficient ideal."""
-
-    entries: dict
-
-    def gen(self, mono):
-        return self.entries[tuple(mono)][1]
-
-
-@dataclass
 class QuotientRing:
     """The quotient ring with its module data.
 
     ``basis`` lists the free-coordinate monomials ascending under the
     order; this fixes the coordinate system for all lattice extraction and
     must never change.  ``N`` counts free plus torsion module generators.
-    For a non-free quotient, coordinates are refused but N, the table and
-    the torsion witnesses stay available for diagnostics.
+    For a non-free quotient, coordinates are refused but N and the torsion
+    witnesses (monomial -> content) stay available for diagnostics.
     """
 
     gb: GroebnerBasis
     basis: list
     N: int
-    lct: LeadingCoeffTable
     free: bool
     torsion: dict = field(default_factory=dict)
     # variable index -> matrix of multiplication by that variable, filled
@@ -108,19 +97,12 @@ def quotient_from_basis(gb):
             raise InfiniteDimensionError(var_name(i, nv))
         bounds.append(bound)
 
-    entries = {}
     basis = []
     torsion = {}
     for alpha in itertools.product(*(range(b) for b in bounds)):
-        idxs = tuple(
-            k for k, (lc, lm) in enumerate(heads) if mono_divides(lm, alpha)
-        )
-        gen = 0
-        for k in idxs:
-            gen = math.gcd(gen, heads[k][0])
+        gen = math.gcd(*(lc for lc, lm in heads if mono_divides(lm, alpha)))
         if gen == 1:
             continue
-        entries[alpha] = (idxs, gen)
         if gen == 0:
             basis.append(alpha)
         else:
@@ -130,7 +112,6 @@ def quotient_from_basis(gb):
         gb=gb,
         basis=basis,
         N=len(basis) + len(torsion),
-        lct=LeadingCoeffTable(entries),
         free=not torsion,
         torsion=torsion,
     )

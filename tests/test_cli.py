@@ -492,6 +492,26 @@ class TestHashCommands:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot read %s: " % missing) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("verb", ["digest", "collide"])
+    def test_key_arity_mismatch_exits_2(self, tmp_path, verb):
+        """An ArityError is neither a DomainError nor a ResourceError and
+        still exits 2 with one line."""
+        params = tmp_path / "hp.json"
+        params.write_text(json.dumps(HASH_PARAMS))
+        code, out, _ = run_cli("hash", "keygen", "--params", str(params), "--seed", "7")
+        assert code == 0
+        key = json.loads(out)
+        a0 = key["a"][0]
+        key["a"][0] = dict(a0, nvars=2, terms=[dict(t, e=t["e"] + [0]) for t in a0["terms"]])
+        key_file = tmp_path / "key.json"
+        key_file.write_text(json.dumps(key))
+        blob = tmp_path / "msg.bin"
+        blob.write_bytes(b"x")
+        args = ["--in", str(blob)] if verb == "digest" else []
+        code, out, err = run_cli("hash", verb, "--key", str(key_file), *args)
+        assert (code, out) == (2, "")
+        assert err == "error: variable counts differ: 2 vs 1\n"
+
     def test_invalid_params_exit_2(self, tmp_path):
         bad = dict(HASH_PARAMS, m="1")
         params_file = tmp_path / "hp.json"

@@ -281,6 +281,71 @@ class TestSNFWide:
         assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
 
+EXTRACT_SHAPES = ((3, 5), (5, 7), (7, 11))
+
+
+@pytest.fixture(scope="module")
+def torus_quotients():
+    """Z[x, y]/<x^a - 1, y^b - 1> for each extraction shape (a, b)."""
+    out = []
+    for a, b in EXTRACT_SHAPES:
+        ring = Ideal([Polynomial({(a, 0): 1, (0, 0): -1}, 2), Polynomial({(0, b): 1, (0, 0): -1}, 2)], 2)
+        out.append(build_quotient(ring))
+    return out
+
+
+def _extract_lattices(seed, quotients):
+    """The lattice of one dense generator with coefficients in [-4, 4] per
+    shape, drawn as the benchmark's extraction inputs of the same seed."""
+    rng = random.Random(seed)
+    for (a, b), q in zip(EXTRACT_SHAPES, quotients):
+        while True:
+            coeffs = {e: rng.randint(-4, 4) for e in itertools.product(range(a), range(b))}
+            coeffs = {e: c for e, c in coeffs.items() if c}
+            if coeffs:
+                break
+        yield ideal_to_lattice(q, [Polynomial(coeffs, 2)])
+
+
+class TestSNFExtract:
+    """Ideal lattices of N = 15, 35 and 77, full rank and rank-deficient."""
+
+    # seed -> (ranks, sha256 prefix of the three factor lists), computed by
+    # the edging loop; seeds 4, 5, 6 and 10 take three HNF rounds
+    GOLDEN = {
+        1: ([15, 35, 77], "08d8fe13df3dcce8"),
+        4: ([15, 34, 77], "66f16e422f0dd2b9"),
+        5: ([14, 35, 77], "e13d4001a63b4dbf"),
+        6: ([15, 35, 77], "5bbb7a7dc338dbb6"),
+        10: ([14, 35, 77], "2c81c4262df75ed5"),
+        11: ([15, 35, 77], "86cda86833a13735"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_factors_are_unchanged(self, seed, torus_quotients):
+        h = hashlib.sha256()
+        ranks = []
+        for lat in _extract_lattices(seed, torus_quotients):
+            ranks.append(lat.rank)
+            h.update(repr(lat.snf_factors).encode())
+        assert (ranks, h.hexdigest()[:16]) == self.GOLDEN[seed]
+
+    def test_square_input_where_the_edging_loop_stalled(self):
+        """A 7x7 matrix on which the edging loop had not finished after
+        300 s; the factors are sympy's and multiply to the determinant
+        4236380."""
+        rows = [
+            [2, 3, -2, 2, -3, -3, -7],
+            [0, -1, -8, 4, 9, 3, -2],
+            [1, -5, 9, -5, -9, -3, 5],
+            [-3, -8, -9, 2, -1, 6, 6],
+            [6, -7, 5, 8, -7, 1, -4],
+            [9, 7, -8, 9, -7, -9, 9],
+            [1, -6, -6, 6, -9, 8, -2],
+        ]
+        assert snf(rows) == [1, 1, 1, 1, 1, 2, 2118190]
+
+
 class TestExtraction:
     def test_worked_example(self):
         q = build_quotient(Ideal([P("x^2", 2), P("y", 2)], 2))

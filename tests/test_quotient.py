@@ -63,7 +63,7 @@ class TestBuildQuotient:
         q = build_quotient(Ideal([P("2*x", 1), P("x^2", 1)], 1))
         assert not q.free
         assert q.N == 2
-        assert q.lct.gen((1,)) == 2
+        assert q.torsion == {(1,): 2}
         assert q.basis == [(0,)]
 
     def test_infinite_dimension_names_variable(self):
