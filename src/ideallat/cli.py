@@ -138,15 +138,6 @@ def _load_ideal(path, order_text):
     return ideal, order
 
 
-def _load_a_gens(path, nvars, modulus):
-    obj = jsonio.load_json(path)
-    if isinstance(obj, dict):
-        obj = obj.get("generators", obj)
-    if not isinstance(obj, list):
-        raise ParseError("expected a list of polynomials for --A")
-    return [jsonio.poly_from_obj(g, nvars, modulus) for g in obj]
-
-
 def _cmd_groebner(args):
     ideal, order = _load_ideal(args.ideal, args.order)
     # representations are not printed, so they are not tracked
@@ -183,7 +174,7 @@ def _cmd_lattice(args):
 
         ideal, order = _load_ideal(args.ideal, args.order)
         q = build_quotient(ideal, order)
-        gens = _load_a_gens(args.a_gens, ideal.nvars, ideal.modulus)
+        gens = jsonio.polys_from_obj(jsonio.load_json(args.a_gens), ideal.nvars, ideal.modulus, "--A")
         lat = ideal_to_lattice(q, gens)
         return {"hnf": jsonio.matrix_to_obj(lat.hnf), "rank": jsonio.int_str(lat.rank)}
     from .lattice import DEFAULT_ENUM_BUDGET, IntegerLattice, minima_bruteforce
@@ -206,10 +197,7 @@ def _cmd_cyclic(args):
         from .lattice import IntegerLattice
 
         rows = jsonio.matrix_from_obj(jsonio.load_json(args.lattice))
-        size = 1
-        for r in args.shape:
-            size *= r
-        lat = IntegerLattice(rows) if rows else IntegerLattice([], ambient_dim=size)
+        lat = IntegerLattice(rows, ambient_dim=math.prod(args.shape))
         return {"cyclic": is_multivariate_cyclic(lat, args.shape)}
     from .cyclic import Tensor, cyclic_shift
 
@@ -258,7 +246,7 @@ def _cmd_hardness(args):
 
         ideal, order = _load_ideal(args.ideal, args.order)
         q = build_quotient(ideal, order)
-        gens = _load_a_gens(args.a_gens, ideal.nvars, ideal.modulus)
+        gens = jsonio.polys_from_obj(jsonio.load_json(args.a_gens), ideal.nvars, ideal.modulus, "--A")
         budget = args.budget or DEFAULT_ENUM_BUDGET
         g = spp_bruteforce(q, gens, gamma=args.gamma, box=args.box, budget=budget)
         return {"element": format_polynomial(g), "norm": jsonio.int_str(norm_mod(g, q))}
@@ -278,27 +266,21 @@ def _cmd_hardness(args):
 
 def _cmd_algo1(args):
     from .hardness import gaussian_width, incspp_via_collisions, norm_mod
-    from .hashing import HashKey, HashParams, collision_oracle
+    from .hashing import HashKey, collision_oracle
     from .quotient import build_quotient
 
     obj = jsonio.load_json(args.params)
+    params = jsonio.params_from_obj(obj)
     try:
-        ideal = jsonio.ideal_from_obj(obj["ideal"])
-        order = jsonio.order_from_str(obj.get("order", "lex"))
-        p = int(obj["p"])
-        d = int(obj["d"])
-        m = int(obj["m"])
-        eta = float(obj["eta"])
-        g_obj = obj["g"]
-        a_objs = obj["A"]
-    except (KeyError, TypeError, ValueError) as exc:
+        g_obj, a_obj = obj["g"], obj["A"]
+    except KeyError as exc:
         raise ParseError("malformed algo1 parameter object: %s" % exc) from exc
-    q = build_quotient(ideal, order)
-    gens = [jsonio.poly_from_obj(o, ideal.nvars, ideal.modulus) for o in a_objs]
+    ideal = params.ideal
+    q = build_quotient(ideal, params.order)
+    gens = jsonio.polys_from_obj(a_obj, ideal.nvars, ideal.modulus, '"A"')
     g = jsonio.poly_from_obj(g_obj, ideal.nvars, ideal.modulus)
-    params = HashParams(p=p, ideal=ideal, order=order, d=d, m=m, eta=eta)
-    key = HashKey(params=params, a=())
-    oracle_fn = collision_oracle(key, budget=args.budget)
+    oracle_fn = collision_oracle(HashKey(params=params, a=()), budget=args.budget)
+    p, d, m, eta = params.p, params.d, params.m, params.eta
     h = incspp_via_collisions(q, gens, g, oracle_fn, args.seed, p, d, m, eta)
     return {
         "h": format_polynomial(h),
@@ -311,14 +293,10 @@ def _cmd_algo1(args):
 
 def _cmd_hash(args):
     if args.verb == "keygen":
-        from .hashing import _checked_quotient, _keygen_on, keygen
+        from .hashing import keygen
 
         params = jsonio.params_from_obj(jsonio.load_json(args.params))
-        if args.strict:
-            key = _keygen_on(_checked_quotient(params, strict=True), params, args.seed)
-        else:
-            key = keygen(params, args.seed)
-        obj = jsonio.key_to_obj(key)
+        obj = jsonio.key_to_obj(keygen(params, args.seed, strict=args.strict))
         if args.out:
             try:
                 with open(args.out, "w") as fh:

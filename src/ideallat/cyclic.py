@@ -9,10 +9,18 @@ arithmetic therefore share one coordinate system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .poly import Polynomial
+
+
+def _size(shape):
+    """Entry count of a tensor of this shape, whose axes must be positive."""
+    if any(r < 1 for r in shape):
+        raise DomainError("tensor axes must have positive length")
+    return math.prod(shape)
 
 
 def _strides(shape):
@@ -30,11 +38,7 @@ class Tensor:
     data: tuple
 
     def __post_init__(self):
-        size = 1
-        for r in self.shape:
-            if r < 1:
-                raise DomainError("tensor axes must have positive length")
-            size *= r
+        size = _size(self.shape)
         if len(self.data) != size:
             raise DomainError(
                 "tensor data has %d entries, shape %r needs %d" % (len(self.data), self.shape, size)
@@ -51,10 +55,7 @@ def tensor_of(f, shape):
     if f.nvars != len(shape):
         raise DomainError("polynomial has %d variables, shape %r" % (f.nvars, shape))
     strides = _strides(shape)
-    size = 1
-    for r in shape:
-        size *= r
-    data = [0] * size
+    data = [0] * math.prod(shape)
     for e, c in f.coeffs.items():
         if any(x >= r for x, r in zip(e, shape)):
             raise DomainError("exponent %r out of range for shape %r" % (e, shape))
@@ -115,9 +116,7 @@ def is_multivariate_cyclic(lattice, shape):
     Checking the HNF basis rows suffices because the shifts are linear.
     """
     shape = tuple(int(r) for r in shape)
-    size = 1
-    for r in shape:
-        size *= r
+    size = _size(shape)
     if lattice.ambient_dim != size:
         raise DomainError(
             "lattice lives in dimension %d, shape %r needs %d"

@@ -90,6 +90,10 @@ def expansion_factor(q, k_tuple, samples=10000, rng_seed=0, coeff_bound=1,
     reduction steps on any sample) and the first witness in sweep order
     need each sample's own ``reduce_full``.
     """
+    if samples < 1:
+        raise DomainError("samples must be at least 1")
+    if coeff_bound < 1:
+        raise DomainError("coefficient bound must be at least 1")
     if not q.free:
         raise DomainError("expansion factor needs a free quotient")
     k_tuple = tuple(int(k) for k in k_tuple)
@@ -195,24 +199,41 @@ def incspp_step(q, gens_of_a, g, box=None, budget=DEFAULT_ENUM_BUDGET):
 # ---------------------------------------------------------------------------
 # the cyclic -> cyclotomic-sum reduction
 
-def cyclic_shape(q):
-    """The exponent tuple (r1..rn) when the quotient is modulo <x_i^{r_i}-1>."""
+def _cyclotomic_sum(i, r, nvars, modulus):
+    """1 + x_i + ... + x_i^(r - 1)."""
+    return Polynomial({(0,) * i + (j,) + (0,) * (nvars - i - 1): 1 for j in range(r)}, nvars, modulus)
+
+
+def _univariate_shape(q, cyclotomic):
+    """(r_1..r_n) when the basis holds one generator per variable, each
+    1 + x_i + ... + x_i^(r_i - 1) if ``cyclotomic`` and x_i^r_i - 1
+    otherwise; None for any other basis."""
     shape = [0] * q.nvars
     if len(q.gb.elements) != q.nvars:
-        raise DomainError("quotient is not of the cyclic <x_i^r_i - 1> form")
+        return None
     for g in q.gb.elements:
-        vars_used = [i for i in range(q.nvars) if maxdeg(g, i) > 0]
-        if len(vars_used) != 1:
-            raise DomainError("quotient is not of the cyclic <x_i^r_i - 1> form")
-        i = vars_used[0]
-        r = maxdeg(g, i)
-        want = Polynomial.variable(i, q.nvars, power=r, modulus=q.modulus) - 1
-        if g != want or shape[i]:
-            raise DomainError("quotient is not of the cyclic <x_i^r_i - 1> form")
+        used = [i for i in range(q.nvars) if maxdeg(g, i) > 0]
+        if len(used) != 1 or shape[used[0]]:
+            return None
+        i = used[0]
+        if cyclotomic:
+            r = maxdeg(g, i) + 1
+            want = _cyclotomic_sum(i, r, q.nvars, q.modulus)
+        else:
+            r = maxdeg(g, i)
+            want = Polynomial.variable(i, q.nvars, power=r, modulus=q.modulus) - 1
+        if g != want:
+            return None
         shape[i] = r
-    if not all(shape):
-        raise DomainError("quotient is not of the cyclic <x_i^r_i - 1> form")
     return tuple(shape)
+
+
+def cyclic_shape(q):
+    """The exponent tuple (r1..rn) when the quotient is modulo <x_i^{r_i}-1>."""
+    shape = _univariate_shape(q, cyclotomic=False)
+    if shape is None:
+        raise DomainError("quotient is not of the cyclic <x_i^r_i - 1> form")
+    return shape
 
 
 def cyclotomic_sum_ideal(r_tuple, nvars=None, modulus=None):
@@ -221,15 +242,7 @@ def cyclotomic_sum_ideal(r_tuple, nvars=None, modulus=None):
     nv = nvars or len(r_tuple)
     if any(r < 2 for r in r_tuple):
         raise DomainError("every exponent must be at least 2")
-    gens = []
-    for i, r in enumerate(r_tuple):
-        coeffs = {}
-        for j in range(r):
-            e = [0] * nv
-            e[i] = j
-            coeffs[tuple(e)] = 1
-        gens.append(Polynomial(coeffs, nv, modulus))
-    return Ideal(gens, nv, modulus)
+    return Ideal([_cyclotomic_sum(i, r, nv, modulus) for i, r in enumerate(r_tuple)], nv, modulus)
 
 
 def _closest_in_coset(u0, k_lat, box=4, budget=DEFAULT_ENUM_BUDGET):
@@ -376,61 +389,21 @@ def primality_certificate(q):
     x_i - x_j becomes a zero divisor.)  Family two: unit-coefficient
     binomial generators whose exponent-difference lattice is saturated.
     """
-    elems = q.gb.elements
-    nv = q.nvars
-    per_var = {}
-    cyclo = True
-    for g in elems:
-        used = [i for i in range(nv) if maxdeg(g, i) > 0]
-        if len(used) != 1:
-            cyclo = False
-            break
-        i = used[0]
-        r = maxdeg(g, i) + 1
-        want = {}
-        for j in range(r):
-            e = [0] * nv
-            e[i] = j
-            want[tuple(e)] = 1
-        if g.coeffs != want or i in per_var or not _is_prime(r):
-            cyclo = False
-            break
-        per_var[i] = r
-    if cyclo and len(per_var) == nv:
-        odd = [r for r in per_var.values() if r % 2]
-        if len(odd) == len(set(odd)):
-            return "prime"
-        return "unknown"
+    shape = _univariate_shape(q, cyclotomic=True)
+    if shape is not None and all(_is_prime(r) for r in shape):
+        odd = [r for r in shape if r % 2]
+        return "prime" if len(odd) == len(set(odd)) else "unknown"
 
-    diffs = []
-    toric = True
-    for g in elems:
-        terms = sorted(g.coeffs.items())
-        if len(terms) != 2:
-            toric = False
-            break
-        (e1, c1), (e2, c2) = terms
-        if sorted((c1, c2)) != [-1, 1]:
-            toric = False
-            break
-        diffs.append([a - b for a, b in zip(e1, e2)])
-    if toric and diffs and is_saturated(IntegerLattice(diffs)):
-        return "prime"
+    binomials = [sorted(g.coeffs.items()) for g in q.gb.elements]
+    if binomials and all(len(b) == 2 and sorted(c for _, c in b) == [-1, 1] for b in binomials):
+        diffs = [[x - y for x, y in zip(b[0][0], b[1][0])] for b in binomials]
+        if is_saturated(IntegerLattice(diffs)):
+            return "prime"
     return "unknown"
 
 
 # ---------------------------------------------------------------------------
 # collision-driven incremental shortest polynomial (the reduction harness)
-
-@dataclass
-class ReductionRound:
-    """One loop iteration of the collision reduction, kept for inspection."""
-
-    coset_rep: object
-    gaussian: object
-    w_real: object
-    a_poly: object
-
 
 def gaussian_width(g, n_dim, d, m, eta):
     """Width of the sampling Gaussian, tied to |g|_inf by definition."""
@@ -439,8 +412,7 @@ def gaussian_width(g, n_dim, d, m, eta):
     return inf_norm(g) / (8 * eta * math.sqrt(n_dim) * d * m * math.log(n_dim))
 
 
-def incspp_via_collisions(q, gens_of_a, g, oracle, rng_seed, p, d, m, eta,
-                          trace=None):
+def incspp_via_collisions(q, gens_of_a, g, oracle, rng_seed, p, d, m, eta):
     """Turn hash collisions into an ideal element, following the
     coset-sampling loop.
 
@@ -499,15 +471,6 @@ def incspp_via_collisions(q, gens_of_a, g, oracle, rng_seed, p, d, m, eta,
         a_polys.append(a_poly)
         frac_parts.append(w_mod - rounded)
         gaussians.append(y)
-        if trace is not None:
-            trace.append(
-                ReductionRound(
-                    coset_rep=from_coordinates(t, q),
-                    gaussian=y.tolist(),
-                    w_real=w_mod.tolist(),
-                    a_poly=a_poly,
-                )
-            )
 
     alphas, betas = oracle(a_polys)
     z_list = [a - b for a, b in zip(alphas, betas)]

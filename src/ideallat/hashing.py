@@ -113,15 +113,12 @@ def _checked_quotient(params, strict):
     return q
 
 
-def keygen(params, seed):
-    """Key of m ring elements with coordinates uniform in [0, p)."""
-    return _keygen_on(_checked_quotient(params, strict=False), params, seed)
-
-
-def _keygen_on(q, params, seed):
-    """The key of ``keygen`` over the already checked quotient ``q``."""
+def keygen(params, seed, strict=False):
+    """Key of m ring elements with coordinates uniform in [0, p), after the
+    checks of ``validate`` in the given mode."""
     import random
 
+    q = _checked_quotient(params, strict)
     rng = random.Random(seed)
     a = []
     for _ in range(params.m):

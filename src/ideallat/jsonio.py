@@ -68,6 +68,16 @@ def poly_from_obj(obj, nvars=None, modulus=None):
     return Polynomial(coeffs, nv, mod)
 
 
+def polys_from_obj(obj, nvars, modulus, name):
+    """A list of polynomials, or an object holding one under "generators";
+    ``name`` says where the list came from in the error."""
+    if isinstance(obj, dict):
+        obj = obj.get("generators", obj)
+    if not isinstance(obj, list):
+        raise ParseError("expected a list of polynomials for %s" % name)
+    return [poly_from_obj(g, nvars, modulus) for g in obj]
+
+
 def order_to_str(order):
     if order.priority is None:
         return order.kind
@@ -77,7 +87,10 @@ def order_to_str(order):
 def order_from_str(text):
     if ":" in text:
         kind, perm = text.split(":", 1)
-        priority = tuple(int(x) - 1 for x in perm.split(","))
+        try:
+            priority = tuple(int(x) - 1 for x in perm.split(","))
+        except ValueError as exc:
+            raise ParseError("malformed monomial order %r" % (text,)) from exc
         return MonomialOrder(kind, priority)
     return MonomialOrder(text)
 

@@ -153,7 +153,8 @@ class IntegerLattice:
     @property
     def snf_factors(self):
         if self._snf is None:
-            self._snf = snf(self.hnf)
+            # the transpose of the HNF: its first round is one snf would do anyway
+            self._snf = snf(list(zip(*self.hnf)))
         return self._snf
 
     def contains(self, v):

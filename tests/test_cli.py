@@ -1,6 +1,8 @@
 """CLI surface: exit codes, pure-JSON stdout, pipeline composability and
 byte-level determinism."""
 
+import ast
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -55,6 +57,21 @@ ALGO1_PARAMS = {
     "A": [{"nvars": 1, "modulus": None, "terms": [{"e": [1], "c": "1"}, {"e": [0], "c": "-1"}]}],
     "g": {"nvars": 1, "modulus": None, "terms": [{"e": [1], "c": "12"}, {"e": [0], "c": "-12"}]},
 }
+
+
+# HASH_PARAMS over Z[x]/<x^8+1> with p = 12289 and m = 14, which pass the
+# strict modulus bound, and the sha256 of `hash keygen --seed 7` stdout for
+# them, with and without --strict
+STRICT_PARAMS = dict(
+    HASH_PARAMS,
+    p="12289",
+    m="14",
+    ideal=dict(
+        HASH_PARAMS["ideal"],
+        generators=[{"nvars": 1, "modulus": None, "terms": [{"e": [8], "c": "1"}, {"e": [0], "c": "1"}]}],
+    ),
+)
+STRICT_KEY_SHA256 = "a55f98bf1b4604e018e1f5e009a002bef5235eb9dda52bcc363e45fad0b43a9f"
 
 
 def run_cli(*args):
@@ -130,6 +147,11 @@ class TestGroebnerCommand:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("usage error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("order", ["lex:a", "lex:", "grevlex:1,,2"])
+    def test_malformed_order_priority_exits_2(self, ideal_file, order):
+        code, out, err = run_cli("groebner", "--ideal", ideal_file, "--order", order)
+        assert (code, out, err) == (2, "", "error: malformed monomial order %r\n" % order)
 
 
 class TestQuotientCommand:
@@ -359,6 +381,20 @@ print(json.dumps([sorted(n for n in ideallat.__all__ if n in globals()), missing
         assert missing == "module 'ideallat' has no attribute 'no_such_name'"
 
 
+def test_cli_imports_no_private_library_name():
+    """The CLI reaches the library through its public names (dunders such
+    as ``__version__`` included) only."""
+    tree = ast.parse(pathlib.Path(ideallat.__file__).with_name("cli.py").read_text())
+    private = [
+        "%s%s.%s" % ("." * node.level, node.module or "", alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ideallat"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
+
+
 class TestCyclicCommands:
     def test_check_and_shift(self, tmp_path):
         lat_file = tmp_path / "L.json"
@@ -371,6 +407,13 @@ class TestCyclicCommands:
         code, out, _ = run_cli("cyclic", "shift", "--tensor", str(tensor_file), "--axis", "2")
         assert code == 0
         assert json.loads(out)["data"] == ["3", "1", "2", "6", "4", "5"]
+
+    @pytest.mark.parametrize("rows", [[], [[1, 0]]])
+    def test_check_rejects_an_empty_axis(self, tmp_path, rows):
+        lat_file = tmp_path / "L.json"
+        lat_file.write_text(json.dumps(rows))
+        code, out, err = run_cli("cyclic", "check", "--lattice", str(lat_file), "--shape", "2,0")
+        assert (code, out, err) == (2, "", "error: tensor axes must have positive length\n")
 
 
 class TestHardnessCommands:
@@ -401,6 +444,40 @@ class TestHardnessCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["member"] is True
+
+    @pytest.mark.parametrize("seed, h, h_norm", [("3", "x - 1", "1"), ("5", "-2*x - 1", "2")])
+    def test_algo1_stdout(self, tmp_path, seed, h, h_norm):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(ALGO1_PARAMS))
+        code, out, err = run_cli("hardness", "algo1", "--params", str(params), "--seed", seed)
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"g_norm":"12","gaussian_width":"0.25503486164919731","h":"%s","h_norm":"%s",'
+            '"member":true}\n' % (h, h_norm)
+        )
+
+    def test_algo1_generators_must_be_a_list(self, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(dict(ALGO1_PARAMS, A=5)))
+        code, out, err = run_cli("hardness", "algo1", "--params", str(params), "--seed", "7")
+        assert (code, out, err) == (2, "", 'error: expected a list of polynomials for "A"\n')
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--samples", "-5", "samples must be at least 1"),
+            ("--samples", "0", "samples must be at least 1"),
+            ("--coeff-bound", "-1", "coefficient bound must be at least 1"),
+            ("--coeff-bound", "0", "coefficient bound must be at least 1"),
+        ],
+    )
+    def test_expansion_sampling_must_be_positive(self, tmp_path, flag, value, message):
+        ideal = tmp_path / "ideal.json"
+        ideal.write_text(json.dumps({"nvars": 1, "modulus": None, "generators": ["x^2+1"]}))
+        code, out, err = run_cli(
+            "hardness", "expansion", "--ideal", str(ideal), "--k", "9", "--seed", "1", flag, value
+        )
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 class TestHashCommands:
@@ -434,6 +511,34 @@ class TestHashCommands:
             keys.append(key_file.read_bytes())
         capsys.readouterr()
         assert keys[0] == keys[1]
+
+    @pytest.mark.parametrize("flags", [[], ["--strict"]])
+    def test_keygen_stdout(self, tmp_path, flags):
+        params_file = tmp_path / "hp.json"
+        params_file.write_text(json.dumps(STRICT_PARAMS))
+        code, out, err = run_cli("hash", "keygen", "--params", str(params_file), "--seed", "7", *flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == STRICT_KEY_SHA256
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_library_keygen_is_the_cli_key(self, monkeypatch, strict):
+        """``keygen(params, 7, strict)`` gives the key `hash keygen` prints,
+        over the one quotient its checks build."""
+        import ideallat.hashing as hashing
+        from ideallat import jsonio
+
+        builds = []
+        real = hashing.build_quotient
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hashing, "build_quotient", counting)
+        key = hashing.keygen(jsonio.params_from_obj(STRICT_PARAMS), 7, strict=strict)
+        assert len(builds) == 1
+        out = jsonio.dumps(jsonio.key_to_obj(key)) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == STRICT_KEY_SHA256
 
     def test_keygen_digest_collide(self, tmp_path):
         params_file = tmp_path / "hp.json"

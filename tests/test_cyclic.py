@@ -155,3 +155,8 @@ class TestShiftClosure:
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             is_multivariate_cyclic(IntegerLattice([[1, 0]]), (3,))
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0,), (-1, -2)])
+    def test_shape_axes_must_be_positive(self, shape):
+        with pytest.raises(DomainError, match="tensor axes must have positive length"):
+            is_multivariate_cyclic(IntegerLattice([], ambient_dim=0), shape)

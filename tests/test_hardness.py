@@ -116,6 +116,20 @@ class TestExpansionFactor:
         assert report.samples == sum(any(c % 3 for c in d) for d in draws) < 200
         assert report.estimate <= report.theorem_bound
 
+    @pytest.mark.parametrize("limit", [0, 250_000])
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"samples": 0}, "samples must be at least 1"),
+            ({"coeff_bound": -1}, "coefficient bound must be at least 1"),
+        ],
+    )
+    def test_sampling_arguments_must_be_positive(self, kwargs, message, limit):
+        # checked in either sweep mode, though only Monte Carlo reads them
+        with pytest.raises(DomainError) as exc:
+            expansion_factor(Q_of("x^2+1"), (1,), exhaustive_limit=limit, **kwargs)
+        assert str(exc.value) == message
+
     def test_constants_have_ratio_one(self):
         q = Q_of("x^2-1")
         g = P("7", 1)
@@ -337,6 +351,66 @@ class TestPrimalityCertificate:
         # non-saturated one (index 3) does not
         assert primality_certificate(Q_of("x-1", "y-1", nvars=2)) == "prime"
         assert primality_certificate(Q_of("x-y", "y^3-1", nvars=2)) == "unknown"
+
+
+NOT_CYCLIC = "quotient is not of the cyclic <x_i^r_i - 1> form"
+
+# generators, variable count, modulus, cyclic_shape (None: the DomainError
+# NOT_CYCLIC), primality_certificate; the same under lex and grevlex
+RING_FAMILIES = [
+    # x_i^r_i - 1
+    (("x-1",), 1, None, (1,), "prime"),
+    (("x-1",), 1, 13, (1,), "unknown"),
+    (("x^2-1",), 1, None, (2,), "unknown"),
+    (("x^3-1",), 1, 13, (3,), "unknown"),
+    (("x^6-1",), 1, None, (6,), "unknown"),
+    (("x^2-1", "y^3-1"), 2, None, (2, 3), "unknown"),
+    (("x^2-1", "y^3-1"), 2, 13, (2, 3), "unknown"),
+    (("x^5-1", "y^2-1"), 2, None, (5, 2), "unknown"),
+    (("x-1", "y-1"), 2, None, (1, 1), "prime"),
+    (("x-1", "y-1"), 2, 13, (1, 1), "unknown"),
+    (("2*x^2-2",), 1, 13, (2,), "unknown"),
+    (("x^4-1", "2*x^2-2"), 1, 13, (2,), "unknown"),
+    # cyclotomic sums 1 + x_i + ... + x_i^(r_i - 1)
+    (("x+1",), 1, None, None, "prime"),
+    (("x^2+x+1",), 1, None, None, "prime"),
+    (("x^2+x+1",), 1, 13, None, "prime"),
+    (("2*x^2+2*x+2",), 1, 13, None, "prime"),
+    (("x^4+x^3+x^2+x+1",), 1, None, None, "prime"),
+    (("x^3+x^2+x+1",), 1, None, None, "unknown"),
+    (("x+1", "y^2+y+1"), 2, None, None, "prime"),
+    (("x^2+x+1", "y^4+y^3+y^2+y+1"), 2, 13, None, "prime"),
+    (("x^2+x+1", "y^2+y+1"), 2, None, None, "unknown"),
+    (("x+1", "y+1"), 2, 13, None, "prime"),
+    (("x^2+x+1", "y+1", "z^2+z+1"), 3, None, None, "unknown"),
+    # near misses
+    (("x^2+1",), 1, None, None, "unknown"),
+    (("x^2-x+1",), 1, 13, None, "unknown"),
+    (("x^2+x+2",), 1, None, None, "unknown"),
+    (("x^2-2",), 1, None, None, "unknown"),
+    (("x^2+1", "y^2-1"), 2, None, None, "unknown"),
+    (("x^2+x+1", "y-x"), 2, None, None, "unknown"),
+    (("x-y", "y^3-1"), 2, 13, None, "unknown"),
+    (("x^2-1", "y"), 2, None, None, "unknown"),
+    (("x^4-1", "2*x^2-2"), 1, None, None, "unknown"),
+    (("x^2+x+1", "3*x+3"), 1, None, None, "unknown"),
+    (("x^2+x+1", "3*x+3"), 1, 13, None, "unknown"),
+    (("x^2-1", "y^2-1", "x*y-1"), 2, None, None, "unknown"),
+]
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+@pytest.mark.parametrize("gens, nvars, modulus, shape, cert", RING_FAMILIES)
+def test_ring_family_recognizers(gens, nvars, modulus, shape, cert, order):
+    ideal = Ideal([P(t, nvars, modulus) for t in gens], nvars, modulus)
+    q = build_quotient(ideal, MonomialOrder(order))
+    if shape is None:
+        with pytest.raises(DomainError) as exc:
+            cyclic_shape(q)
+        assert str(exc.value) == NOT_CYCLIC
+    else:
+        assert cyclic_shape(q) == shape
+    assert primality_certificate(q) == cert
 
 
 def tiny_instance():

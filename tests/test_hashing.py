@@ -89,6 +89,14 @@ class TestKeygen:
         with pytest.raises(ValidationError):
             keygen(make_params(m=0), 1)
 
+    def test_strict_mode_is_validate_strict(self):
+        with pytest.raises(ValidationError) as exc:
+            keygen(make_params(), 7, strict=True)
+        assert any("strict modulus bound" in v for v in exc.value.violations)
+        # p = 12289 passes the strict bound for m = 14 over Z[x]/<x^8+1>
+        params = make_params(p=12289, m=14, gens=("x^8+1",))
+        assert keygen(params, 7, strict=True).a == keygen(params, 7).a
+
 
 class TestDigest:
     def test_zero_tuple(self):
