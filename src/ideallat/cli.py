@@ -266,11 +266,11 @@ def _cmd_hardness(args):
 
 def _cmd_algo1(args):
     from .hardness import gaussian_width, incspp_via_collisions, norm_mod
-    from .hashing import HashKey, collision_oracle
+    from .hashing import HashKey, check_ranges, collision_oracle
     from .quotient import build_quotient
 
     obj = jsonio.load_json(args.params)
-    params = jsonio.params_from_obj(obj)
+    params = check_ranges(jsonio.params_from_obj(obj))
     try:
         g_obj, a_obj = obj["g"], obj["A"]
     except KeyError as exc:

@@ -19,11 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import DomainError, ResourceError, ValidationError
 from .groebner import Ideal, normal_form
-from .poly import MonomialOrder, Polynomial, _is_prime, inf_norm
-from .quotient import build_quotient, from_coordinates, multiplication_matrix, row_combination
+from .poly import MonomialOrder, Polynomial, _is_prime
+from .quotient import build_quotient, from_coordinates, multiplication_matrix
 
 
 @dataclass
@@ -50,18 +51,21 @@ class HashKey:
     params: HashParams
     a: tuple
     quotient: object = field(default=None, repr=False)
-    # M_{a_i}, the multiplication matrices of the key elements; never serialised
-    matrices: list = field(default=None, repr=False, compare=False)
+    # the N columns of the stacked matrix [M_{a_1}; ...; M_{a_m}] (residues
+    # mod p), so that each digest coordinate is one dot product; never serialised
+    columns: list = field(default=None, repr=False, compare=False)
 
     def ring(self):
         if self.quotient is None:
             self.quotient = build_quotient(self.params.lifted_ideal(), self.params.order)
         return self.quotient
 
-    def mul_matrices(self):
-        if self.matrices is None:
-            self.matrices = [multiplication_matrix(ai, self.ring()) for ai in self.a]
-        return self.matrices
+    def stacked_columns(self):
+        if self.columns is None:
+            q = self.ring()
+            stacked = [row for ai in self.a for row in multiplication_matrix(ai, q)]
+            self.columns = list(zip(*stacked))
+        return self.columns
 
 
 def validate(params, strict=False):
@@ -74,16 +78,33 @@ def validate(params, strict=False):
     return params
 
 
-def _checked_quotient(params, strict):
-    """The checks of ``validate``; fills in params.N and returns the quotient."""
-    violations = []
-    if not _is_prime(params.p):
-        violations.append("modulus: p = %d is not prime" % params.p)
+def check_ranges(params):
+    """Raise ValidationError unless p is prime, d >= 1, m >= 1 and eta is
+    finite and positive: the ranges every use of the parameters needs,
+    without ``validate``'s collision-richness bound or quotient."""
+    violations = _range_violations(params)[1]
+    if violations:
+        raise ValidationError(violations)
+    return params
+
+
+def _range_violations(params):
+    """(whether p is prime, the messages of the failed range checks)."""
+    prime = _is_prime(params.p)
+    violations = [] if prime else ["modulus: p = %d is not prime" % params.p]
     if params.d < 1:
         violations.append("domain bound: d = %d but log(2d) needs d >= 1" % params.d)
     if params.m < 1:
         violations.append("key length: m = %d must be positive" % params.m)
-    if params.d >= 1 and params.m >= 1 and _is_prime(params.p):
+    if not (math.isfinite(params.eta) and params.eta > 0):
+        violations.append("expansion bound: eta = %r must be finite and positive" % params.eta)
+    return prime, violations
+
+
+def _checked_quotient(params, strict):
+    """The checks of ``validate``; fills in params.N and returns the quotient."""
+    prime, violations = _range_violations(params)
+    if params.d >= 1 and params.m >= 1 and prime:
         richness = math.log(params.p) / math.log(2 * params.d)
         if not params.m > richness:
             violations.append(
@@ -91,7 +112,7 @@ def _checked_quotient(params, strict):
                 % (params.m, richness)
             )
     q = None
-    if _is_prime(params.p):
+    if prime:
         q = build_quotient(params.lifted_ideal(), params.order)
         if not q.free:
             violations.append("ring: quotient mod p is not free")
@@ -129,45 +150,61 @@ def keygen(params, seed, strict=False):
 
 def in_domain(key, f):
     """Membership in D: centered residue norm at most d."""
-    return _domain_residue(key, f) is not None
+    return _domain_coords(key, f) is not None
 
 
-def _domain_residue(key, f):
-    """Normal form of f in the key's ring mod p, or None outside D."""
+def _domain_coords(key, f):
+    """Coordinates of f mod (I, p) on the standard monomials, or None when
+    the centered residue norm exceeds d.
+
+    Standard monomials are irreducible, so an f supported on them is its
+    own normal form; only other entries are reduced.  The coordinates are
+    congruent mod p to the residues, not reduced into [0, p).
+    """
     q = key.ring()
-    r = normal_form(_lift_mod_p(f, key.params.p), q.gb)
-    return r if inf_norm(r.centered_lift()) <= key.params.d else None
+    p = key.params.p
+    if f.modulus != p and f.modulus is not None:
+        raise DomainError("tuple entry has a foreign modulus")
+    coeffs = f.coeffs
+    if not coeffs.keys() <= q.basis_set:
+        coeffs = normal_form(Polynomial._trusted(coeffs, f.nvars, p), q.gb).coeffs
+    # the centered residue of c lies in [-d, d] iff (c + d) mod p <= 2d,
+    # which holds for every c once 2d >= p - 1 and for none once d < 0
+    d = key.params.d
+    if max(map(p.__rmod__, map(d.__add__, coeffs.values())), default=d) > 2 * d:
+        return None
+    return list(map(coeffs.get, q.basis, itertools.repeat(0, len(q.basis))))
+
+
+def _key_product(key, b, vec):
+    """Coordinates in [0, p) of sum a_i * b_i, given ``vec``, the
+    concatenated coordinates of the entries of the tuple b."""
+    columns = key.stacked_columns()
+    for ai, bi in zip(key.a, b):
+        if ai.nvars != bi.nvars:
+            ai._check_compat(bi)  # the ArityError of the product a_i * b_i
+    p = key.params.p
+    return [sum(map(mul, vec, col)) % p for col in columns]
 
 
 def digest(key, b):
-    """Hash of a domain tuple: sum of a_i * b_i in the ring, computed as
-    the sum of coords(b_i) * M_{a_i} mod p."""
+    """Hash of a domain tuple: sum of a_i * b_i in the ring.
+
+    The stacked key matrix [M_{a_1}; ...; M_{a_m}] maps the m*N
+    coordinates of the tuple to the N of the digest: one dot product mod p
+    per column.
+    """
     q = key.ring()
     if len(b) != key.params.m:
         raise DomainError("expected a tuple of %d elements" % key.params.m)
-    residues = []
+    vec = []
     for i, bi in enumerate(b):
-        residues.append(_domain_residue(key, bi))
-        if residues[-1] is None:
+        coords = _domain_coords(key, bi)
+        if coords is None:
             raise DomainError("tuple entry %d lies outside the domain bound d = %d" % (i, key.params.d))
-    return _digest_of_residues(key, q, residues)
-
-
-def _digest_of_residues(key, q, residues):
-    """``digest`` of a tuple whose entries are already reduced into D."""
-    acc = [0] * q.N
-    for ai, r, mat in zip(key.a, residues, key.mul_matrices()):
-        ai._check_compat(r)  # the ArityError of the product a_i * b_i
-        acc = row_combination([r.coeffs.get(e, 0) for e in q.basis], mat, acc)
-    return from_coordinates([a % key.params.p for a in acc], q)
-
-
-def _lift_mod_p(f, p):
-    if f.modulus == p:
-        return f
-    if f.modulus is not None:
-        raise DomainError("tuple entry has a foreign modulus")
-    return Polynomial(f.coeffs, f.nvars, p)
+        vec += coords
+    out = _key_product(key, b, vec)
+    return Polynomial._trusted(dict(zip(q.basis, out)), q.nvars, key.params.p)
 
 
 def verify_collision(key, alpha, beta):
@@ -176,13 +213,14 @@ def verify_collision(key, alpha, beta):
         return False
     if all(a == b for a, b in zip(alpha, beta)):
         return False
-    residues = []
+    vec = []
     for f in itertools.chain(alpha, beta):
-        residues.append(_domain_residue(key, f))
-        if residues[-1] is None:
+        coords = _domain_coords(key, f)
+        if coords is None:
             return False
-    q, m = key.ring(), key.params.m
-    return _digest_of_residues(key, q, residues[:m]) == _digest_of_residues(key, q, residues[m:])
+        vec += coords
+    half = len(vec) // 2
+    return _key_product(key, alpha, vec[:half]) == _key_product(key, beta, vec[half:])
 
 
 def find_collision_bruteforce(key, budget=10**6):
@@ -198,12 +236,14 @@ def find_collision_bruteforce(key, budget=10**6):
         raise ResourceError(
             "domain of size %d exceeds the enumeration budget %d" % (total, budget)
         )
-    # multiplication-by-a_i tables over the small domain make each digest a sum
+    # multiplication-by-a_i tables over the small domain make each digest a
+    # sum; block i of the stacked columns is the matrix of a_i
     singles = list(itertools.product(range(-params.d, params.d + 1), repeat=q.N))
-    tables = [
-        {c: tuple(a % params.p for a in row_combination(c, mat, [0] * q.N)) for c in singles}
-        for mat in key.mul_matrices()
-    ]
+    columns = key.stacked_columns()
+    tables = []
+    for i in range(len(key.a)):
+        block = [col[i * q.N : (i + 1) * q.N] for col in columns]
+        tables.append({c: tuple(sum(map(mul, c, x)) % params.p for x in block) for c in singles})
     seen = {}
     for tup in itertools.product(singles, repeat=params.m):
         vec = [0] * q.N

@@ -152,6 +152,8 @@ def key_from_obj(obj):
         a = tuple(poly_from_obj(ai) for ai in obj["a"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("malformed key object: %s" % exc) from exc
+    if len(a) != params.m:
+        raise ParseError('malformed key object: "a" has %d entries but m = %d' % (len(a), params.m))
     return HashKey(params=params, a=a)
 
 

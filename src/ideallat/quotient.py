@@ -38,6 +38,11 @@ class QuotientRing:
     # variable index -> matrix of multiplication by that variable, filled
     # on first use by ``multiplication_matrix``
     var_matrices: dict = field(default_factory=dict, compare=False, repr=False)
+    # ``basis`` as a set, for support tests
+    basis_set: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.basis_set = frozenset(self.basis)
 
     @property
     def nvars(self):
@@ -126,7 +131,7 @@ def coordinates(f, q):
             "integer coordinates are unavailable" % witness
         )
     r = normal_form(f, q.gb)
-    extra = set(r.coeffs) - set(q.basis)
+    extra = r.coeffs.keys() - q.basis_set
     if extra:
         raise DomainError("normal form has support outside the standard basis: %r" % extra)
     return [r.coeffs.get(e, 0) for e in q.basis]

@@ -73,6 +73,11 @@ STRICT_PARAMS = dict(
 )
 STRICT_KEY_SHA256 = "a55f98bf1b4604e018e1f5e009a002bef5235eb9dda52bcc363e45fad0b43a9f"
 
+# sha256 of the `hash digest` stdout for the bytes a5 3c and of the
+# `hash collide` stdout, on the key of `hash keygen --seed 7` for HASH_PARAMS
+DIGEST_SHA256 = "5ddd14e37136fc04eaf5c1ff7968c786f4fd3546956e1ca375adc8ec4ceb92ac"
+COLLIDE_SHA256 = "f74df738e2007b952ffdbbd6dd60dc364eb8bf179e23cbc9d77508f6e18bc6e5"
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -456,6 +461,23 @@ class TestHardnessCommands:
             '"member":true}\n' % (h, h_norm)
         )
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("d", "0", "domain bound: d = 0 but log(2d) needs d >= 1"),
+            ("m", "0", "key length: m = 0 must be positive"),
+            ("m", "-1", "key length: m = -1 must be positive"),
+            ("eta", "0", "expansion bound: eta = 0.0 must be finite and positive"),
+            ("eta", "nan", "expansion bound: eta = nan must be finite and positive"),
+            ("p", "0", "modulus: p = 0 is not prime"),
+        ],
+    )
+    def test_algo1_parameter_ranges(self, tmp_path, name, value, message):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(dict(ALGO1_PARAMS, **{name: value})))
+        code, out, err = run_cli("hardness", "algo1", "--params", str(params), "--seed", "3")
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+
     def test_algo1_generators_must_be_a_list(self, tmp_path):
         params = tmp_path / "params.json"
         params.write_text(json.dumps(dict(ALGO1_PARAMS, A=5)))
@@ -561,6 +583,41 @@ class TestHashCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["valid"] is True
+
+    def test_digest_and_collide_stdout(self, tmp_path):
+        params_file = tmp_path / "hp.json"
+        params_file.write_text(json.dumps(HASH_PARAMS))
+        key_file = tmp_path / "key.json"
+        code, _, _ = run_cli(
+            "hash", "keygen", "--params", str(params_file), "--seed", "7", "-o", str(key_file)
+        )
+        assert code == 0
+        blob = tmp_path / "msg.bin"
+        blob.write_bytes(b"\xa5\x3c")
+        for argv, pin in [
+            (["digest", "--in", str(blob)], DIGEST_SHA256),
+            (["collide"], COLLIDE_SHA256),
+        ]:
+            code, out, err = run_cli("hash", argv[0], "--key", str(key_file), *argv[1:])
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+    @pytest.mark.parametrize("verb", ["digest", "collide"])
+    def test_key_needs_m_elements(self, tmp_path, verb):
+        params = tmp_path / "hp.json"
+        params.write_text(json.dumps(HASH_PARAMS))
+        code, out, _ = run_cli("hash", "keygen", "--params", str(params), "--seed", "7")
+        assert code == 0
+        key = json.loads(out)
+        key["a"] = key["a"][:-1]
+        key_file = tmp_path / "key.json"
+        key_file.write_text(json.dumps(key))
+        blob = tmp_path / "msg.bin"
+        blob.write_bytes(b"x")
+        args = ["--in", str(blob)] if verb == "digest" else []
+        code, out, err = run_cli("hash", verb, "--key", str(key_file), *args)
+        assert (code, out) == (2, "")
+        assert err == 'error: malformed key object: "a" has 4 entries but m = 5\n'
 
     def test_unwritable_key_file_is_domain_error(self, tmp_path):
         params_file = tmp_path / "hp.json"

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ideallat.errors import DomainError, ResourceError, ValidationError
+from ideallat.errors import ArityError, DomainError, ResourceError, ValidationError
 from ideallat.groebner import Ideal, normal_form
 from ideallat.hashing import (
     HashKey,
@@ -57,6 +57,51 @@ class TestValidate:
         with pytest.raises(ValidationError) as exc:
             validate(make_params(), strict=True)
         assert any("strict modulus bound" in v for v in exc.value.violations)
+
+    def test_primality_is_checked_once(self, monkeypatch):
+        import ideallat.hashing as hashing
+
+        calls = []
+        real = hashing._is_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(hashing, "_is_prime", counting)
+        validate(make_params())
+        assert calls == [17]
+        calls.clear()
+        with pytest.raises(ValidationError):
+            validate(make_params(), strict=True)
+        assert calls == [17]
+        calls.clear()
+        keygen(make_params(), 7)
+        assert calls == [17]
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"p": 0}, "modulus: p = 0 is not prime"),
+            ({"d": 0}, "domain bound: d = 0 but log(2d) needs d >= 1"),
+            ({"m": -1}, "key length: m = -1 must be positive"),
+            ({"eta": 0.0}, "expansion bound: eta = 0.0 must be finite and positive"),
+            ({"eta": math.nan}, "expansion bound: eta = nan must be finite and positive"),
+        ],
+    )
+    def test_range_checks(self, changes, message):
+        """``check_ranges`` raises the range messages of ``validate`` and
+        skips its collision-richness bound."""
+        from ideallat.hashing import check_ranges
+
+        with pytest.raises(ValidationError) as exc:
+            check_ranges(make_params(**changes))
+        assert exc.value.violations == [message]
+        with pytest.raises(ValidationError) as exc:
+            validate(make_params(**changes))
+        assert message in exc.value.violations
+        params = make_params(m=1)
+        assert check_ranges(params) is params
 
 
 class TestKeygen:
@@ -143,10 +188,83 @@ def _raw_digest(key, tup):
     from ideallat.quotient import quotient_mul
 
     q = key.ring()
-    acc = Polynomial.zero(1, key.params.p)
+    acc = Polynomial.zero(q.nvars, key.params.p)
     for ai, bi in zip(key.a, tup):
-        acc = acc + quotient_mul(ai, Polynomial(bi.coeffs, 1, key.params.p), q)
+        acc = acc + quotient_mul(ai, Polynomial(bi.coeffs, q.nvars, key.params.p), q)
     return normal_form(acc, q.gb)
+
+
+def _power_ring_params(shape, p=12289, d=8, m=4):
+    """Parameters over Z[x_1..x_n]/<x_i^r_i + 1> for shape (r_1, .., r_n)."""
+    n = len(shape)
+    gens = [Polynomial({tuple(r if j == i else 0 for j in range(n)): 1, (0,) * n: 1}, n)
+            for i, r in enumerate(shape)]
+    return HashParams(p=p, ideal=Ideal(gens, n), order=MonomialOrder("lex"), d=d, m=m, eta=1.0)
+
+
+class TestDigestDifferential:
+    """``digest`` against ``_raw_digest``, the sum of the ring products
+    a_i * b_i each reduced by ``normal_form``, on the two rings of the
+    benchmark's hash workload."""
+
+    SHAPES = [(32,), (8, 4)]
+
+    def _entry(self, rng, key, kind):
+        q = key.ring()
+        p, d, n = key.params.p, key.params.d, q.nvars
+        coeffs = {e: rng.randint(-d, d) for e in q.basis}
+        if kind == "mod p":
+            return Polynomial(coeffs, n, p)
+        f = Polynomial(coeffs, n)
+        if kind == "standard":
+            return f
+        # f plus multiples of the generators: support off the standard
+        # monomials (exponents up to 2r) with the same residue as f
+        for g in key.params.ideal.generators:
+            h = Polynomial({rng.choice(q.basis): rng.randint(-p, p) for _ in range(3)}, n)
+            f = f + g * h
+        assert not set(f.coeffs) <= set(q.basis)
+        return f
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_agrees_with_raw_digest(self, shape):
+        import random
+
+        rng = random.Random(2026)
+        key = keygen(_power_ring_params(shape), 5)
+        for t in range(40):
+            kinds = [("standard", "mod p", "off standard")[(t + i) % 3] for i in range(4)]
+            b = tuple(self._entry(rng, key, kind) for kind in kinds)
+            assert all(in_domain(key, f) for f in b)
+            assert digest(key, b) == _raw_digest(key, b)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_errors(self, shape):
+        key = keygen(_power_ring_params(shape), 5)
+        n = len(shape)
+        z = Polynomial.zero(n)
+        cases = [
+            ((z,) * 3, DomainError, "expected a tuple of 4 elements"),
+            ((z, Polynomial.constant(1, n, 7), z, z), DomainError, "tuple entry has a foreign modulus"),
+            ((z, Polynomial.constant(9, n), z, z), DomainError,
+             "tuple entry 1 lies outside the domain bound d = 8"),
+            ((z, P("x^%d" % (shape[0] + 1), n) * 9, z, z), DomainError,
+             "tuple entry 1 lies outside the domain bound d = 8"),
+            ((z, z, Polynomial.zero(n + 1), z), ArityError,
+             "variable counts differ: %d vs %d" % (n, n + 1)),
+            # the domain check of every entry comes before the arity check
+            ((Polynomial.zero(n + 1), Polynomial.constant(9, n), z, z), DomainError,
+             "tuple entry 1 lies outside the domain bound d = 8"),
+        ]
+        for b, error, message in cases:
+            with pytest.raises(error) as exc:
+                digest(key, b)
+            assert type(exc.value) is error and str(exc.value) == message
+        assert in_domain(key, Polynomial.constant(8 - 12289, n))
+        assert in_domain(key, Polynomial.constant(12289 - 8, n, 12289))
+        assert not in_domain(key, Polynomial.constant(12289 - 9, n, 12289))
+        with pytest.raises(DomainError, match="foreign modulus"):
+            in_domain(key, Polynomial.constant(1, n, 7))
 
 
 class TestCollisions:
@@ -178,6 +296,9 @@ class TestCollisions:
         assert normal_form(acc, q.gb).is_zero
 
     def test_verify_reduces_each_entry_once(self, monkeypatch):
+        """Entries off the standard monomials are reduced once each; the
+        entries of a bruteforce collision lie on them and need no normal
+        form."""
         import ideallat.hashing as hashing
 
         key = keygen(make_params(), 11)
@@ -191,7 +312,25 @@ class TestCollisions:
 
         monkeypatch.setattr(hashing, "normal_form", counting)
         assert verify_collision(key, alpha, beta)
+        assert reduced == []
+        g = key.params.ideal.generators[0]
+        off = [tuple(f + g * P("x^2", 1) for f in tup) for tup in (alpha, beta)]
+        assert verify_collision(key, *off)
         assert len(reduced) == 2 * key.params.m == 10
+
+    @pytest.mark.parametrize(
+        "seed, alpha, beta",
+        [
+            (11, ["-x - 1"] * 4 + ["-1"], ["-x - 1", "-x - 1", "-1", "-1", "-x - 1"]),
+            (12, ["-x - 1"] * 3 + ["-1", "-1"], ["-x - 1"] * 3 + ["-x + 1", "-x"]),
+        ],
+    )
+    def test_bruteforce_result(self, seed, alpha, beta):
+        """The first collision in enumeration order, pinned."""
+        key = keygen(make_params(), seed)
+        got = find_collision_bruteforce(key)
+        assert got == (tuple(P(t, 1) for t in alpha), tuple(P(t, 1) for t in beta))
+        assert verify_collision(key, *got)
 
     def test_verify_rejects_out_of_domain_entries(self):
         key = keygen(make_params(), 11)
