@@ -65,7 +65,6 @@ class GroebnerBasis:
 
     elements: list
     order: MonomialOrder
-    is_reduced: bool = False
     is_short_reduced: bool = False
     is_monic: bool = False
     representations: list | None = None
@@ -408,100 +407,33 @@ def _storage_order(elements, order):
 def short_reduce(gb):
     """The unique short reduced basis for the stored order.
 
-    One element per necessary leading monomial; its leading coefficient is
-    the gcd of all basis leading coefficients whose leading monomial
-    divides it, and its tail is fully reduced.  Recomputing from any
-    permutation of generators of the same ideal yields an identical set.
+    Each element keeps its head and has its tail fully reduced by the
+    basis, so recomputing from any permutation of generators of the same
+    ideal yields an identical set.  Precondition: ``gb`` is a minimal
+    strong basis, as ``buchberger`` returns; its heads are then the short
+    reduced ones.  Let alpha be a necessary leading monomial and d the gcd
+    of the leading coefficients of its contributors, the elements whose
+    leading monomial divides alpha.  Their Bezout combination has leading
+    term d*x^alpha, so strongness gives an element h with lm_h | alpha and
+    lc_h | d; h is a contributor, so d | lc_h and lc_h = d, and lm_h = alpha
+    or alpha would not be necessary.  ``_minimalize`` keeps only such
+    heads, which are pairwise distinct, so ``reduce_full`` picks the same
+    reducer whatever the list order.
     """
     order = gb.order
-    elements = gb.elements
-    track = gb.representations is not None
     reps = gb.representations
-    heads = [_head(g, order) for g in elements]
-    monos = sorted({lm for lm, _ in heads}, key=order.key)
-
-    d_of = {}
-    contrib_of = {}
-    for alpha in monos:
-        contrib = [i for i, (lm, _) in enumerate(heads) if mono_divides(lm, alpha)]
-        d = 0
-        for i in contrib:
-            d = math.gcd(d, heads[i][1])
-        d_of[alpha] = d
-        contrib_of[alpha] = contrib
-
-    needed = [
-        alpha
-        for alpha in monos
-        if not any(
-            beta != alpha and mono_divides(beta, alpha) and d_of[alpha] % d_of[beta] == 0
-            for beta in monos
-        )
-    ]
-
-    new_elements = []
+    track = reps is not None
+    elements = []
     new_reps = [] if track else None
-    for alpha in needed:
-        d = d_of[alpha]
-        exact = [i for i in contrib_of[alpha] if heads[i] == (alpha, d)]
-        if exact:
-            f = elements[exact[0]]
-            rep = list(reps[exact[0]]) if track else None
-        else:
-            f, rep = _bezout_element(elements, reps, contrib_of[alpha], alpha, d, order, track)
-        new_elements.append(f)
-        if track:
-            new_reps.append(rep)
-
-    # Heads are final, so one full tail reduction per element yields the
-    # unique irreducible representative.
-    reduced = []
-    red_reps = [] if track else None
-    for pos, f in enumerate(new_elements):
+    for k, f in enumerate(gb.elements):
         lc, lm = leading_data(f, order)
-        head_poly = Polynomial.monomial(lm, f.nvars, lc, f.modulus)
-        r, quot, _ = reduce_full(f - head_poly, new_elements, order, record=track)
-        reduced.append(head_poly + r)
+        head = Polynomial.monomial(lm, f.nvars, lc, f.modulus)
+        r, quot, _ = reduce_full(f - head, gb.elements, order, record=track)
+        elements.append(head + r)
         if track:
-            red_reps.append(_subtract_quotients(new_reps[pos], quot, new_reps, f.nvars, f.modulus))
-
-    perm = _storage_order(reduced, order)
-    out = GroebnerBasis(
-        [reduced[i] for i in perm],
-        order,
-        is_reduced=True,
-        is_short_reduced=True,
-        representations=[red_reps[i] for i in perm] if track else None,
-    )
-    out.is_monic = all(_head(g, order)[1] == 1 for g in out.elements)
-    return out
-
-
-def _bezout_element(elements, reps, contrib, alpha, d, order, track):
-    """Ideal element with leading term d*x^alpha combined from contributors."""
-    acc = None
-    acc_rep = None
-    running = 0
-    for i in contrib:
-        lm, lc = _head(elements[i], order)
-        shift = mono_div(alpha, lm)
-        if acc is None:
-            acc = elements[i].term_multiple(1, shift)
-            if track:
-                acc_rep = [p.term_multiple(1, shift) for p in reps[i]]
-            running = lc
-        else:
-            g, u, v = _xgcd(running, lc)
-            acc = acc * u + elements[i].term_multiple(v, shift)
-            if track:
-                shifted = [p.term_multiple(v, shift) for p in reps[i]]
-                acc_rep = [a * u + b for a, b in zip(acc_rep, shifted)]
-            running = g
-        if running == d:
-            break
-    lc, lm = leading_data(acc, order)
-    assert lm == alpha and lc == d, "Bezout head construction failed"
-    return acc, acc_rep
+            new_reps.append(_subtract_quotients(list(reps[k]), quot, reps, f.nvars, f.modulus))
+    return GroebnerBasis(elements, order, is_short_reduced=True, is_monic=gb.is_monic,
+                         representations=new_reps)
 
 
 def expand_representation(rep, generators):

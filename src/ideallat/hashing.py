@@ -61,6 +61,9 @@ class HashKey:
         return self.quotient
 
     def stacked_columns(self):
+        # checked here, not at construction: HashKey(params, a=()) holds params
+        if len(self.a) != self.params.m:
+            raise DomainError("key has %d elements but m = %d" % (len(self.a), self.params.m))
         if self.columns is None:
             q = self.ring()
             stacked = [row for ai in self.a for row in multiplication_matrix(ai, q)]
@@ -104,6 +107,7 @@ def _range_violations(params):
 def _checked_quotient(params, strict):
     """The checks of ``validate``; fills in params.N and returns the quotient."""
     prime, violations = _range_violations(params)
+    in_range = not violations
     if params.d >= 1 and params.m >= 1 and prime:
         richness = math.log(params.p) / math.log(2 * params.d)
         if not params.m > richness:
@@ -121,7 +125,7 @@ def _checked_quotient(params, strict):
                 "dimension: declared N = %d but the quotient has dimension %d"
                 % (params.N, q.N)
             )
-    if strict and q is not None:
+    if strict and in_range:
         bound = 8 * params.eta * params.d * params.m * q.N**1.5 * math.sqrt(math.log(q.N))
         if not params.p >= bound:
             violations.append(

@@ -6,8 +6,10 @@ The HNF convention is pinned because coordinate vectors feed golden tests:
 row style, upper echelon, positive pivots, entries above each pivot
 reduced into [0, pivot).  All elimination is exact integer arithmetic, in
 one loop that computes every HNF and, through alternating transposes, the
-SNF.  It builds the unimodular transform U only on request
-(``hnf_with_transform``, for ``solve_left`` and ``intersect``), so ``hnf``,
+SNF.  The unimodular transform U is built only on request
+(``hnf_with_transform``, for ``solve_left`` and ``intersect``): each row
+then carries its row of the identity as extra columns, which the same loop
+updates but never pivots on, and U is split off at the end.  ``hnf``,
 ``snf`` and lattice extraction never pay for it.
 
 Every exact lattice search (shortest vector, successive minima, and the
@@ -42,57 +44,47 @@ def hnf_with_transform(rows, transform=True):
     """(H, U, rank) with U unimodular, U*rows = H in echelon form.
 
     H keeps its zero rows at the bottom so that U[rank:] is a basis of the
-    left kernel of the input matrix.  With ``transform`` false the same
-    elimination runs on H alone and U is None.
+    left kernel of the input matrix.  With ``transform`` each row carries
+    its row of the identity as extra columns, which the elimination updates
+    but never pivots on, and U is split off at the end; without it U is
+    None.
     """
     A = _copy_matrix(rows)
     if not A:
         return [], ([] if transform else None), 0
     m, n = len(A), len(A[0])
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
-
-    def row_op(i, j, q, col):
-        # row i -= q * row j; row j of A is zero left of col
-        A[i][col:] = [a - q * b for a, b in zip(A[i][col:], A[j][col:])]
-        if transform:
-            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        if transform:
-            U[i], U[j] = U[j], U[i]
-
-    def negate(i):
-        A[i] = [-a for a in A[i]]
-        if transform:
-            U[i] = [-a for a in U[i]]
-
+    if transform:
+        for i, row in enumerate(A):
+            row.extend(1 if i == j else 0 for j in range(m))
     r = 0
     for col in range(n):
-        # euclidean elimination below the pivot row
+        # euclidean elimination below the pivot row; row r is zero left of col
         while True:
             nz = [i for i in range(r, m) if A[i][col]]
             if not nz:
                 break
             piv = min(nz, key=lambda i: (abs(A[i][col]), i))
             if piv != r:
-                swap(piv, r)
+                A[piv], A[r] = A[r], A[piv]
             if len(nz) == 1:
                 break
             for i in range(r + 1, m):
                 if A[i][col]:
-                    row_op(i, r, A[i][col] // A[r][col], col)
+                    q = A[i][col] // A[r][col]
+                    A[i][col:] = [a - q * b for a, b in zip(A[i][col:], A[r][col:])]
         if r < m and A[r][col]:
             if A[r][col] < 0:
-                negate(r)
+                A[r] = [-a for a in A[r]]
             for i in range(r):
                 q = A[i][col] // A[r][col]
                 if q:
-                    row_op(i, r, q, col)
+                    A[i][col:] = [a - q * b for a, b in zip(A[i][col:], A[r][col:])]
             r += 1
             if r == m:
                 break
-    return A, U, r
+    if not transform:
+        return A, None, r
+    return [row[:n] for row in A], [row[n:] for row in A], r
 
 
 def snf(rows):

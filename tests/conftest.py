@@ -1,6 +1,7 @@
 """Shared helpers: seeded random polynomials/ideals and independent
 membership machinery used as oracles across the suite."""
 
+import functools
 import itertools
 import random
 
@@ -47,7 +48,7 @@ def random_ideal(rng, nvars=None):
     return Ideal(gens, nvars)
 
 
-def combination_lattice(gens, multiplier_degree, extra=()):
+def combination_lattice(gens, multiplier_degree):
     """Z-row-span of all monomial shifts of the generators up to the
     multiplier degree, as an IntegerLattice over a fixed column layout.
 
@@ -63,8 +64,6 @@ def combination_lattice(gens, multiplier_degree, extra=()):
             p = g.term_multiple(1, s)
             shifted.append(p)
             columns.update(p.coeffs)
-    for f in extra:
-        columns.update(f.coeffs)
     layout = sorted(columns, reverse=True)
     index = {e: i for i, e in enumerate(layout)}
 
@@ -78,14 +77,22 @@ def combination_lattice(gens, multiplier_degree, extra=()):
     return IntegerLattice(rows, ambient_dim=len(layout)), to_vector
 
 
+@functools.lru_cache(maxsize=32)
+def _cached_combination_lattice(gens, multiplier_degree):
+    return combination_lattice(list(gens), multiplier_degree)
+
+
 def bounded_membership(f, gens, multiplier_degree):
     """Independent oracle: is f an integer combination sum h_i * g_i with
     total multiplier degree at most the bound?  Pure integer linear
-    algebra (HNF row-span membership), no division involved."""
-    lattice, to_vector = combination_lattice(gens, multiplier_degree, extra=(f,))
+    algebra (HNF row-span membership), no division involved.  The lattices
+    of the last 32 (generators, degree) pairs are kept with their HNFs, so
+    the probes of one ideal share one elimination."""
+    lattice, to_vector = _cached_combination_lattice(tuple(gens), multiplier_degree)
     try:
         vec = to_vector(f)
     except KeyError:
+        # a monomial that no shift reaches: its column would be zero
         return False
     return lattice.contains(vec)
 

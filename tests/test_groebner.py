@@ -4,6 +4,7 @@ algebra, explicit certificates, brute-force combination search)."""
 
 import hashlib
 import itertools
+import math
 import random
 import time
 
@@ -22,7 +23,13 @@ from ideallat.groebner import (
     short_reduce,
 )
 from ideallat.jsonio import ideal_from_obj, poly_from_obj
-from ideallat.poly import MonomialOrder, Polynomial, parse_polynomial
+from ideallat.poly import (
+    MonomialOrder,
+    Polynomial,
+    leading_data,
+    mono_divides,
+    parse_polynomial,
+)
 
 from conftest import bounded_membership, random_ideal, random_polynomial
 
@@ -239,6 +246,38 @@ class TestShortReduce:
             gb2 = gb_of(perm, ideal.nvars, pair_budget=1500, step_budget=20_000)
             assert {str(g) for g in gb1.elements} == {str(g) for g in gb2.elements}
             done += 1
+
+    @pytest.mark.parametrize("modulus", [None, 13])
+    @pytest.mark.parametrize("order", ["lex", "grevlex"])
+    def test_buchberger_heads_are_already_short(self, modulus, order):
+        """The precondition of ``short_reduce``: the heads of a minimal
+        strong basis are distinct, each lc is the gcd of the lcs whose lm
+        divides its lm, no other head covers one, and short reduction keeps
+        every head."""
+        rng = random.Random(2026 + (modulus or 0))
+        order = MonomialOrder(order)
+        done = 0
+        while done < 12:
+            ideal = random_ideal(rng)
+            gens = [Polynomial(g.coeffs, ideal.nvars, modulus) for g in ideal.generators]
+            if any(g.is_zero for g in gens):
+                continue
+            try:
+                gb = buchberger(Ideal(gens, ideal.nvars, modulus), order,
+                                pair_budget=1500, step_budget=20_000)
+            except ResourceError:
+                continue
+            done += 1
+            heads = [leading_data(g, order)[::-1] for g in gb.elements]
+            assert len({lm for lm, _ in heads}) == len(heads)
+            for i, (lm, lc) in enumerate(heads):
+                assert lc == math.gcd(*(c for m, c in heads if mono_divides(m, lm)))
+                assert not any(
+                    j != i and mono_divides(m, lm) and lc % c == 0
+                    for j, (m, c) in enumerate(heads)
+                )
+            short = short_reduce(gb)
+            assert [leading_data(g, order)[::-1] for g in short.elements] == heads
 
     def test_mixed_content_keeps_both_levels(self):
         # <2x, 3y>: contents 2 at x, 3 at y, 1 at xy -> three elements

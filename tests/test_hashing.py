@@ -58,6 +58,13 @@ class TestValidate:
             validate(make_params(), strict=True)
         assert any("strict modulus bound" in v for v in exc.value.violations)
 
+    def test_strict_bound_needs_ranges_in_order(self):
+        """An out-of-range eta is reported alone, not also as a strict
+        modulus bound of nan."""
+        with pytest.raises(ValidationError) as exc:
+            validate(make_params(eta=math.nan), strict=True)
+        assert exc.value.violations == ["expansion bound: eta = nan must be finite and positive"]
+
     def test_primality_is_checked_once(self, monkeypatch):
         import ideallat.hashing as hashing
 
@@ -165,6 +172,17 @@ class TestDigest:
         with pytest.raises(DomainError) as exc:
             digest(key, (good, bad, good, good, good))
         assert "entry 1" in str(exc.value)
+
+    def test_short_key_is_refused(self):
+        """A key with fewer than m elements hashes no prefix of the tuple."""
+        k = keygen(make_params(), 3)
+        short = HashKey(params=k.params, a=k.a[:2], quotient=k.ring())
+        zero = Polynomial.zero(1)
+        alpha = (zero,) * 5
+        beta = (zero,) * 4 + (P("x", 1),)
+        for call in (lambda: digest(short, alpha), lambda: verify_collision(short, alpha, beta)):
+            with pytest.raises(DomainError, match="key has 2 elements but m = 5"):
+                call()
 
     def test_linearity(self, rng):
         key = keygen(make_params(), 5)
@@ -340,6 +358,12 @@ class TestCollisions:
         assert not verify_collision(key, alpha, far)
         with pytest.raises(DomainError):
             verify_collision(key, (P("x", 1, 7),) + tuple(alpha[1:]), beta)
+
+    def test_bruteforce_refuses_short_key(self):
+        k = keygen(make_params(), 3)
+        short = HashKey(params=k.params, a=k.a[:2], quotient=k.ring())
+        with pytest.raises(DomainError, match="key has 2 elements but m = 5"):
+            find_collision_bruteforce(short)
 
     def test_budget_guard(self):
         key = keygen(make_params(), 11)
