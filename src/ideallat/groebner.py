@@ -167,6 +167,51 @@ def reduce_full(f, elements, order, record=False, step_budget=None):
     return Polynomial._trusted(r, f.nvars, modulus), quotients, steps
 
 
+def reduction_plan(elements, order, monos):
+    """The sweep ``reduce_full`` makes over any polynomial on ``monos``.
+
+    With every leading coefficient 1 the reducer chosen for a monomial
+    does not depend on its coefficient, and one step clears the monomial,
+    so the sweep is the same for every such polynomial; only which steps
+    fire (those on a nonzero coefficient) varies.  Monomials are numbered
+    by their place in ``monos``, then in the order the sweep first reaches
+    them.  Returns ``(reached, steps, irreducible)``: the monomials in that
+    numbering; per reducible monomial, in visit order, ``(index, tail)`` with
+    ``tail`` the ``(index, coefficient)`` terms of its reducer shifted
+    onto it, head skipped; and the indices of the irreducible ones.
+    """
+    key, desc = order.key, order.desc_key
+    heads = []
+    for i, g in enumerate(elements):
+        lc, lm = leading_data(g, order)
+        if lc != 1:
+            raise DomainError("a reduction plan needs a monic basis")
+        heads.append((key(lm), i, lm, [t for t in g.coeffs.items() if t[0] != lm]))
+    heads.sort()
+    index = {e: i for i, e in enumerate(monos)}
+    heap = [(desc(e), e) for e in monos]
+    heapq.heapify(heap)
+    steps, irreducible = [], []
+    while heap:
+        e = heapq.heappop(heap)[1]
+        for _, _, lm, tail in heads:
+            if all(map(le, lm, e)):
+                break
+        else:
+            irreducible.append(index[e])
+            continue
+        shift = tuple(map(sub, e, lm))
+        targets = []
+        for e1, c1 in tail:
+            em = tuple(map(add, shift, e1))
+            if em not in index:
+                index[em] = len(index)
+                heapq.heappush(heap, (desc(em), em))
+            targets.append((index[em], c1))
+        steps.append((index[e], tuple(targets)))
+    return list(index), steps, irreducible
+
+
 def normal_form(f, gb):
     """Canonical remainder of ``f`` modulo the basis."""
     r, _, _ = reduce_full(f, gb.elements, gb.order)

@@ -23,7 +23,7 @@ from .errors import (
     InfeasibleError,
     NumericDegeneracyError,
 )
-from .groebner import Ideal, leading_data, normal_form, reduce_full
+from .groebner import Ideal, leading_data, normal_form, reduction_plan
 from .lattice import (
     DEFAULT_ENUM_BUDGET,
     IntegerLattice,
@@ -86,9 +86,14 @@ def expansion_factor(q, k_tuple, samples=10000, rng_seed=0, coeff_bound=1,
     under ``exhaustive_limit``, else Monte Carlo with the given seed.
 
     Over Z the exhaustive estimate is the largest row l1 sum of the box's
-    normal-form matrix; the sweep stays because ``k_measured`` (the most
-    reduction steps on any sample) and the first witness in sweep order
-    need each sample's own ``reduce_full``.
+    normal-form matrix.  A free quotient's basis is monic, so
+    ``reduce_full`` sweeps every sample of the box the same way: each
+    monomial has one reducer, fixed by the basis, and one step clears it.
+    That sweep is built once by ``reduction_plan`` and replayed on each
+    sample's coefficient list.  A step fires where the monomial's
+    coefficient is nonzero (mod p) when the sweep reaches it, so the
+    remainder and the step count behind ``k_measured`` are exactly those
+    of the sample's own ``reduce_full``.
     """
     if samples < 1:
         raise DomainError("samples must be at least 1")
@@ -102,37 +107,48 @@ def expansion_factor(q, k_tuple, samples=10000, rng_seed=0, coeff_bound=1,
     monos = _degree_box(q, k_tuple)
     g_max = max(inf_norm(g) for g in q.gb.elements)
     exhaustive = 3 ** len(monos) <= exhaustive_limit
+    reached, plan, irreducible = reduction_plan(q.gb.elements, q.gb.order, monos)
+    pad = [0] * (len(reached) - len(monos))
+    p = q.modulus
 
     def candidates():
         if exhaustive:
-            for signs in itertools.product((-1, 0, 1), repeat=len(monos)):
-                yield {e: s for e, s in zip(monos, signs) if s}
+            yield from itertools.product((-1, 0, 1), repeat=len(monos))
         else:
             rng = random.Random(rng_seed)
             for _ in range(samples):
-                yield {
-                    e: c
-                    for e in monos
-                    if (c := rng.randint(-coeff_bound, coeff_bound))
-                }
+                yield [rng.randint(-coeff_bound, coeff_bound) for _ in monos]
+
+    def centered_norm(values):
+        if p is None:
+            return max(map(abs, values), default=0)
+        return max((abs(c - p if c > p // 2 else c) for c in (v % p for v in values)), default=0)
 
     # the best ratio so far is best_num / best_den, compared by cross-multiplying
     best_num, best_den = 0, 1
-    witness = Polynomial.zero(q.nvars, q.modulus)
+    witness = Polynomial.zero(q.nvars, p)
     k_measured = 0
     count = 0
-    for coeffs in candidates():
-        g = Polynomial._trusted(coeffs, q.nvars, q.modulus)
-        if g.is_zero:
+    for draw in candidates():
+        den = centered_norm(draw)
+        if not den:  # the zero draw, or one that vanishes mod p, is no sample
             continue
-        r, _, steps = reduce_full(g, q.gb.elements, q.gb.order)
+        v = [*draw, *pad]
+        steps = 0
+        for i, tail in plan:
+            c = v[i] if p is None else v[i] % p
+            if c:
+                steps += 1
+                for t, a in tail:
+                    v[t] -= c * a
         count += 1
         k_measured = max(k_measured, steps)
-        num, den = inf_norm(r.centered_lift()), inf_norm(g.centered_lift())
+        num = centered_norm([v[i] for i in irreducible])
         # the bound from one reduction pass holds sample by sample
         assert num <= (2 * g_max) ** steps * den
         if num * best_den > best_num * den:
-            best_num, best_den, witness = num, den, g
+            best_num, best_den = num, den
+            witness = Polynomial._trusted(dict(zip(monos, draw)), q.nvars, p)
     best = Fraction(best_num, best_den)
     bound = (2 * g_max) ** k_measured
     assert best <= bound

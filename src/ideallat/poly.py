@@ -50,11 +50,13 @@ def mono_lcm(a, b):
 # (Sorenson and Webster, 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# n - 1 is trial-divided up to this bound for a Pocklington proof
+_TRIAL_BOUND = 10**6
 
 
 def _is_prime(n):
     """Exact primality: deterministic Miller-Rabin below ``_MR_EXACT_BELOW``;
-    above it a passing n is confirmed by trial division."""
+    above it a passing n needs a Pocklington proof (``_pocklington``)."""
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -76,7 +78,43 @@ def _is_prime(n):
             return False
     if n < _MR_EXACT_BELOW:
         return True
-    return all(n % q for q in range(43, math.isqrt(n) + 1, 2))
+    return _pocklington(n)
+
+
+def _pocklington(n):
+    """Prove n prime from the factored part F of n - 1; n is odd and has
+    passed Miller-Rabin.
+
+    n is prime when F^2 > n and every prime q | F has a base a with
+    a^(n-1) = 1 (mod n) and gcd(a^((n-1)/q) - 1, n) = 1 (Pocklington 1914;
+    Brillhart, Lehmer & Selfridge 1975).  F collects the primes of n - 1
+    up to ``_TRIAL_BOUND`` and the cofactor when ``_is_prime`` certifies
+    it.  A Fermat witness proves n composite; otherwise DomainError.
+    """
+    m, primes = n - 1, []
+    q = 2
+    while q <= _TRIAL_BOUND and q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1 if q == 2 else 2
+    if m > 1:
+        try:
+            if q * q > m or _is_prime(m):
+                primes.append(m)
+                m = 1
+        except DomainError:
+            pass
+    f = (n - 1) // m
+    proven = f * f > n
+    for a in _MR_BASES:
+        if pow(a, n - 1, n) != 1:
+            return False
+        primes = [q for q in primes if math.gcd(pow(a, (n - 1) // q, n) - 1, n) != 1]
+    if proven and not primes:
+        return True
+    raise DomainError("cannot certify modulus %d as prime" % n)
 
 
 def format_monomial(e, nvars):

@@ -194,6 +194,15 @@ class TestQuotientCommand:
         assert (code, out) == (2, "")
         assert err == "error: modulus %s is not prime\n" % modulus
 
+    def test_uncertified_modulus_exits_2(self, tmp_path):
+        # a strong pseudoprime to all 13 Miller-Rabin bases, beyond their exact range
+        path = tmp_path / "ideal_mod.json"
+        modulus = "3317044064679887385961981"
+        path.write_text(json.dumps({"nvars": 1, "modulus": modulus, "generators": ["x^2+1"]}))
+        code, out, err = run_cli("quotient", "info", "--ideal", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: cannot certify modulus %s as prime\n" % modulus
+
 
 class TestLatticeCommands:
     def test_extract_then_minima_pipeline(self, ideal_file, a_file, tmp_path):

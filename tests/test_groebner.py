@@ -19,6 +19,7 @@ from ideallat.groebner import (
     ideal_membership,
     normal_form,
     reduce_full,
+    reduction_plan,
     s_polynomial,
     short_reduce,
 )
@@ -153,6 +154,47 @@ class TestReduceFullGolden:
         r, quot, steps = reduce_full(P("3*x*y", 2), elements, MonomialOrder("lex"), record=True)
         assert (r.is_zero, steps) == (True, 1)
         assert quot == [{}, {(1, 0): 3}, {}]
+
+
+def _replay(plan, f, monos):
+    """Remainder and step count of ``f`` from a ``reduction_plan``."""
+    reached, steps, irreducible = plan
+    p = f.modulus
+    v = [f.coeffs.get(e, 0) for e in monos] + [0] * (len(reached) - len(monos))
+    count = 0
+    for i, tail in steps:
+        c = v[i] if p is None else v[i] % p
+        if c:
+            count += 1
+            for t, a in tail:
+                v[t] -= c * a
+    return Polynomial({reached[i]: v[i] for i in irreducible}, f.nvars, p), count
+
+
+class TestReductionPlan:
+    @pytest.mark.parametrize("gens, nvars, modulus, kind", [
+        (["x^3-x-1"], 1, None, "lex"),
+        (["x^2-2*y", "y^2+x-3"], 2, None, "grevlex"),
+        (["x^2+3*y+1", "y^2+5*x"], 2, 13, "lex"),
+        (["x^2+2*y+1", "y^2+x+z", "z^2-x-y+4"], 3, 13, "grevlex"),
+        (["x^2-1", "y^2-x", "z^2-y"], 3, None, "lex"),
+    ])
+    def test_replay_matches_reduce_full(self, gens, nvars, modulus, kind):
+        order = MonomialOrder(kind)
+        gb = short_reduce(buchberger(Ideal([P(g, nvars, modulus) for g in gens], nvars, modulus), order))
+        monos = list(itertools.product(range(4), repeat=nvars))
+        plan = reduction_plan(gb.elements, order, monos)
+        rng = random.Random("plan/%s" % gens)
+        for _ in range(40):
+            # small coefficients and many zeros, so steps often cancel out
+            f = Polynomial({e: rng.choice((-2, -1, 0, 0, 1, 2, 13)) for e in monos}, nvars, modulus)
+            r, _, steps = reduce_full(f, gb.elements, order)
+            assert _replay(plan, f, monos) == (r, steps)
+
+    def test_refuses_a_head_that_is_not_monic(self):
+        gb = gb_of([P("2*x^2+1", 1)], 1)
+        with pytest.raises(DomainError):
+            reduction_plan(gb.elements, gb.order, [(0,), (1,), (2,)])
 
 
 class TestMembership:

@@ -3,6 +3,7 @@ cyclic-to-cyclotomic reduction, variety substitution bounds and the
 collision-driven harness."""
 
 import cmath
+import hashlib
 import itertools
 import math
 import random
@@ -142,6 +143,44 @@ class TestExpansionFactor:
             g = random_polynomial(rng, 1, max_deg=5, max_coeff=9)
             r, _, steps = reduce_full(g, q.gb.elements, q.gb.order)
             assert inf_norm(r) <= inf_norm(g) * (2 * g_max) ** steps
+
+
+# (generators, nvars, modulus, order, k, keyword arguments): the five bench
+# expansion fixtures at rng_seed 10-14, two Z_13 quotients (one bivariate),
+# a grevlex quotient, a Monte Carlo draw wider than p, and a long box
+EXPANSION_GOLDEN_CASES = [
+    (["x^2-1"], 1, None, "lex", (2,), {"rng_seed": 10}),
+    (["x^3-1"], 1, None, "lex", (2,), {"rng_seed": 11}),
+    (["x^2+x+1"], 1, None, "lex", (2,), {"rng_seed": 12}),
+    (["x^4+x^3+x^2+x+1"], 1, None, "lex", (2,), {"rng_seed": 13}),
+    (["x^2-1", "y^2-1"], 2, None, "lex", (2, 2), {"rng_seed": 14}),
+    (["x^3+2*x+5"], 1, 13, "lex", (2,), {"rng_seed": 0}),
+    (["x^2+3*y+1", "y^2+5*x"], 2, 13, "lex", (1, 1),
+     {"samples": 300, "rng_seed": 7, "exhaustive_limit": 0}),
+    (["x^2-y", "y^2-x"], 2, None, "grevlex", (1, 1),
+     {"samples": 300, "rng_seed": 8, "exhaustive_limit": 0}),
+    (["x^2+x+4"], 1, 13, "lex", (3,),
+     {"samples": 300, "rng_seed": 9, "coeff_bound": 20, "exhaustive_limit": 0}),
+    (["x^4+x^3+x^2+x+1"], 1, None, "lex", (150,),
+     {"samples": 300, "rng_seed": 0, "exhaustive_limit": 0}),
+]
+EXPANSION_GOLDEN_SHA256 = "8b2fbabac95f1ad60358dfcf21b6b8dbef86e98619f4f0cc8c50a249db5b2c3e"
+
+
+def test_expansion_reports_golden():
+    # every ExpansionReport field, pinned from the per-sample reduce_full sweep
+    reports = []
+    for gens, nvars, modulus, order, k, kwargs in EXPANSION_GOLDEN_CASES:
+        ideal = Ideal([P(g, nvars, modulus) for g in gens], nvars, modulus)
+        q = build_quotient(ideal, MonomialOrder(order))
+        rep = expansion_factor(q, k, **kwargs)
+        reports.append((
+            rep.k_tuple, rep.estimate.numerator, rep.estimate.denominator,
+            sorted(rep.witness.coeffs.items()), rep.theorem_bound, rep.k_measured,
+            rep.samples, rep.exhaustive,
+        ))
+    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+    assert digest == EXPANSION_GOLDEN_SHA256
 
 
 class TestSPP:

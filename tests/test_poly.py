@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ideallat.errors import ArityError, DomainError, ParseError
+from ideallat.jsonio import ideal_from_obj
 from ideallat.poly import (
     MonomialOrder,
     _is_prime,
@@ -239,3 +240,23 @@ class TestPrimality:
     @pytest.mark.parametrize("n, prime", [(10**16 + 61, True), (10**16 + 63, False), (10**400, False)])
     def test_large_inputs(self, n, prime):
         assert _is_prime(n) == prime
+
+    def test_pocklington_proof_above_the_miller_rabin_bound(self):
+        # n - 1 = 4 * 11 * 23 * q, and Miller-Rabin is exact on q
+        n = 10**25 + 13
+        q = (n - 1) // (4 * 11 * 23)
+        assert 4 * 11 * 23 * q == n - 1 and q < 3_317_044_064_679_887_385_961_981
+        assert _is_prime(n)
+
+    def test_strong_pseudoprime_to_every_base_is_refused(self):
+        # composite, and a strong pseudoprime to all 13 Miller-Rabin bases
+        n = 3317044064679887385961981
+        assert n == 1287836182261 * 2575672364521
+        with pytest.raises(DomainError) as exc:
+            _is_prime(n)
+        assert str(exc.value) == "cannot certify modulus %d as prime" % n
+
+    @pytest.mark.parametrize("p", [17, 257, 12289, 10**16 + 61])
+    def test_prime_moduli_load(self, p):
+        ideal = ideal_from_obj({"nvars": 1, "modulus": str(p), "generators": ["x^2+1"]})
+        assert ideal.modulus == p and _is_prime(p)
