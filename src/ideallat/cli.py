@@ -53,28 +53,23 @@ def _build_parser():
     top = _Parser(prog="ideallat", description=__doc__)
     top.add_argument("--version", action="version", version="ideallat %s" % __version__)
     sub = top.add_subparsers(dest="command", required=True)
+    ideal_args = argparse.ArgumentParser(add_help=False)
+    ideal_args.add_argument("--ideal", required=True)
+    ideal_args.add_argument("--order", default="lex")
 
-    g = sub.add_parser("groebner", help="strong Groebner basis of an ideal")
-    g.add_argument("--ideal", required=True)
-    g.add_argument("--order", default="lex")
+    g = sub.add_parser("groebner", parents=[ideal_args], help="strong Groebner basis of an ideal")
     g.add_argument("--short", action="store_true", help="emit the short reduced basis")
     g.add_argument("--budget", type=_budget, default=10**6)
 
     q = sub.add_parser("quotient", help="module structure of the quotient ring")
     qsub = q.add_subparsers(dest="verb", required=True)
-    qi = qsub.add_parser("info")
-    qi.add_argument("--ideal", required=True)
-    qi.add_argument("--order", default="lex")
-    qp = qsub.add_parser("phi")
-    qp.add_argument("--ideal", required=True)
-    qp.add_argument("--order", default="lex")
+    qsub.add_parser("info", parents=[ideal_args])
+    qp = qsub.add_parser("phi", parents=[ideal_args])
     qp.add_argument("--poly", required=True)
 
     l = sub.add_parser("lattice", help="lattice extraction and successive minima")
     lsub = l.add_subparsers(dest="verb", required=True)
-    le = lsub.add_parser("extract")
-    le.add_argument("--ideal", required=True)
-    le.add_argument("--order", default="lex")
+    le = lsub.add_parser("extract", parents=[ideal_args])
     le.add_argument("--A", required=True, dest="a_gens")
     lm = lsub.add_parser("minima")
     lm.add_argument("--lattice", required=True)
@@ -94,16 +89,12 @@ def _build_parser():
 
     h = sub.add_parser("hardness", help="norms, expansion factor and oracles")
     hsub = h.add_subparsers(dest="verb", required=True)
-    he = hsub.add_parser("expansion")
-    he.add_argument("--ideal", required=True)
-    he.add_argument("--order", default="lex")
+    he = hsub.add_parser("expansion", parents=[ideal_args])
     he.add_argument("--k", type=_int_list, required=True)
     he.add_argument("--samples", type=int, default=10000)
     he.add_argument("--seed", type=int, required=True)
     he.add_argument("--coeff-bound", type=int, default=1)
-    hs = hsub.add_parser("spp")
-    hs.add_argument("--ideal", required=True)
-    hs.add_argument("--order", default="lex")
+    hs = hsub.add_parser("spp", parents=[ideal_args])
     hs.add_argument("--A", required=True, dest="a_gens")
     hs.add_argument("--gamma", type=float, default=1)
     hs.add_argument("--box", type=int, default=None)
@@ -132,14 +123,18 @@ def _build_parser():
     return top
 
 
-def _load_ideal(path, order_text):
-    ideal = jsonio.ideal_from_obj(jsonio.load_json(path))
-    order = jsonio.order_from_str(order_text)
-    return ideal, order
+def _load_ideal(args):
+    return jsonio.ideal_from_obj(jsonio.load_json(args.ideal)), jsonio.order_from_str(args.order)
+
+
+def _load_quotient(args):
+    from .quotient import build_quotient
+
+    return build_quotient(*_load_ideal(args))
 
 
 def _cmd_groebner(args):
-    ideal, order = _load_ideal(args.ideal, args.order)
+    ideal, order = _load_ideal(args)
     # representations are not printed, so they are not tracked
     gb = buchberger(ideal, order, pair_budget=args.budget, track=False)
     if args.short:
@@ -152,10 +147,9 @@ def _cmd_groebner(args):
 
 
 def _cmd_quotient(args):
-    from .quotient import build_quotient, coordinates
+    from .quotient import coordinates
 
-    ideal, order = _load_ideal(args.ideal, args.order)
-    q = build_quotient(ideal, order)
+    q = _load_quotient(args)
     if args.verb == "info":
         return {
             "N": jsonio.int_str(q.N),
@@ -163,18 +157,16 @@ def _cmd_quotient(args):
             "basis": [format_monomial(e, q.nvars) for e in q.basis],
             "monic": q.gb.is_monic,
         }
-    f = parse_polynomial(args.poly, ideal.nvars, ideal.modulus)
+    f = parse_polynomial(args.poly, q.nvars, q.modulus)
     return {"vector": [jsonio.int_str(x) for x in coordinates(f, q)]}
 
 
 def _cmd_lattice(args):
     if args.verb == "extract":
         from .lattice import ideal_to_lattice
-        from .quotient import build_quotient
 
-        ideal, order = _load_ideal(args.ideal, args.order)
-        q = build_quotient(ideal, order)
-        gens = jsonio.polys_from_obj(jsonio.load_json(args.a_gens), ideal.nvars, ideal.modulus, "--A")
+        q = _load_quotient(args)
+        gens = jsonio.polys_from_obj(jsonio.load_json(args.a_gens), q.nvars, q.modulus, "--A")
         lat = ideal_to_lattice(q, gens)
         return {"hnf": jsonio.matrix_to_obj(lat.hnf), "rank": jsonio.int_str(lat.rank)}
     from .lattice import DEFAULT_ENUM_BUDGET, IntegerLattice, minima_bruteforce
@@ -217,10 +209,8 @@ def _cmd_cyclic(args):
 def _cmd_hardness(args):
     if args.verb == "expansion":
         from .hardness import expansion_factor
-        from .quotient import build_quotient
 
-        ideal, order = _load_ideal(args.ideal, args.order)
-        q = build_quotient(ideal, order)
+        q = _load_quotient(args)
         report = expansion_factor(
             q,
             args.k,
@@ -242,11 +232,9 @@ def _cmd_hardness(args):
     if args.verb == "spp":
         from .hardness import norm_mod, spp_bruteforce
         from .lattice import DEFAULT_ENUM_BUDGET
-        from .quotient import build_quotient
 
-        ideal, order = _load_ideal(args.ideal, args.order)
-        q = build_quotient(ideal, order)
-        gens = jsonio.polys_from_obj(jsonio.load_json(args.a_gens), ideal.nvars, ideal.modulus, "--A")
+        q = _load_quotient(args)
+        gens = jsonio.polys_from_obj(jsonio.load_json(args.a_gens), q.nvars, q.modulus, "--A")
         budget = args.budget or DEFAULT_ENUM_BUDGET
         g = spp_bruteforce(q, gens, gamma=args.gamma, box=args.box, budget=budget)
         return {"element": format_polynomial(g), "norm": jsonio.int_str(norm_mod(g, q))}

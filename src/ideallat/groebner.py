@@ -92,21 +92,20 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-def _unit_scale(f, order):
-    """Unit u such that u*f has positive lc over Z, lc 1 over Z_p."""
-    lc, _ = leading_data(f, order)
-    if f.modulus is not None:
-        return 1 if lc == 1 else pow(lc, -1, f.modulus)
-    return 1 if lc > 0 else -1
-
-
-def _head(f, order):
-    lc, lm = leading_data(f, order)
-    return lm, lc
-
-
 # ---------------------------------------------------------------------------
 # division
+
+def _reducers(elements, order):
+    """``(order key, index, lm, lc, terms)`` per element, sorted: the
+    smallest head first, then the lowest index, the order in which
+    reducers are tried."""
+    key = order.key
+    return sorted(
+        (key(lm), i, lm, lc, list(g.coeffs.items()))
+        for i, g in enumerate(elements)
+        for lc, lm in [leading_data(g, order)]
+    )
+
 
 def reduce_full(f, elements, order, record=False, step_budget=None):
     """Fully reduce ``f`` by ``elements``.
@@ -125,13 +124,8 @@ def reduce_full(f, elements, order, record=False, step_budget=None):
     modulus = f.modulus
     if elements and elements[0].modulus != modulus:
         raise DomainError("cannot reduce a polynomial against a basis over a different ring")
-    key, desc = order.key, order.desc_key
-    # (order key, index, lm, lc, terms): the smallest head first, then the lowest index
-    heads = sorted(
-        (key(lm), i, lm, lc, list(g.coeffs.items()))
-        for i, g in enumerate(elements)
-        for lc, lm in [leading_data(g, order)]
-    )
+    desc = order.desc_key
+    heads = _reducers(elements, order)
     r = dict(f.coeffs)
     quotients = [dict() for _ in elements] if record else None
     steps = 0
@@ -180,21 +174,17 @@ def reduction_plan(elements, order, monos):
     ``tail`` the ``(index, coefficient)`` terms of its reducer shifted
     onto it, head skipped; and the indices of the irreducible ones.
     """
-    key, desc = order.key, order.desc_key
-    heads = []
-    for i, g in enumerate(elements):
-        lc, lm = leading_data(g, order)
-        if lc != 1:
-            raise DomainError("a reduction plan needs a monic basis")
-        heads.append((key(lm), i, lm, [t for t in g.coeffs.items() if t[0] != lm]))
-    heads.sort()
+    desc = order.desc_key
+    heads = _reducers(elements, order)
+    if any(lc != 1 for _, _, _, lc, _ in heads):
+        raise DomainError("a reduction plan needs a monic basis")
     index = {e: i for i, e in enumerate(monos)}
     heap = [(desc(e), e) for e in monos]
     heapq.heapify(heap)
     steps, irreducible = [], []
     while heap:
         e = heapq.heappop(heap)[1]
-        for _, _, lm, tail in heads:
+        for _, _, lm, _, terms in heads:
             if all(map(le, lm, e)):
                 break
         else:
@@ -202,7 +192,9 @@ def reduction_plan(elements, order, monos):
             continue
         shift = tuple(map(sub, e, lm))
         targets = []
-        for e1, c1 in tail:
+        for e1, c1 in terms:
+            if e1 == lm:
+                continue
             em = tuple(map(add, shift, e1))
             if em not in index:
                 index[em] = len(index)
@@ -241,7 +233,8 @@ def _pair_cofactors(lmf, lcf, lmg, lcg, kind, modulus):
 
 
 def _pair_polynomial(f, g, order, kind):
-    cf, tf, cg, tg = _pair_cofactors(*_head(f, order), *_head(g, order), kind, f.modulus)
+    (lcf, lmf), (lcg, lmg) = leading_data(f, order), leading_data(g, order)
+    cf, tf, cg, tg = _pair_cofactors(lmf, lcf, lmg, lcg, kind, f.modulus)
     return f.term_multiple(cf, tf) + g.term_multiple(cg, tg)
 
 
@@ -330,15 +323,21 @@ def buchberger(ideal, order=None, pair_budget=DEFAULT_PAIR_BUDGET, track=True,
         )
 
     def append(poly, deriv):
-        basis.append(poly)
-        heads.append(_head(poly, order))
+        # scale by the unit u that makes lc positive over Z, 1 over Z_p
+        lc, lm = leading_data(poly, order)
+        if modulus is not None:
+            u, lc = pow(lc, -1, modulus), 1
+        else:
+            u = 1 if lc > 0 else -1
+            lc *= u
+        basis.append(poly * u)
+        heads.append((lm, lc))
         if track:
-            derivs.append(deriv)
+            derivs.append(deriv + (u,))
         push_pairs(len(basis) - 1)
 
     for i, g in enumerate(ideal.generators):
-        u = _unit_scale(g, order)
-        append(g * u, (i, u))
+        append(g, (i,))
 
     reductions = 0
     while pairs:
@@ -356,20 +355,17 @@ def buchberger(ideal, order=None, pair_budget=DEFAULT_PAIR_BUDGET, track=True,
         r, quot, _ = reduce_full(cand, basis, order, record=track, step_budget=step_budget)
         if r.is_zero:
             continue
-        u = _unit_scale(r, order)
-        append(r * u, (i, j, kind, quot, u))
+        append(r, (i, j, kind, quot))
 
-    kept = _minimalize(heads, order)
-    perm = _storage_order([basis[i] for i in kept], order)
-    elements = [basis[kept[i]] for i in perm]
+    # stored by descending leading monomial; the sort is stable
+    kept = sorted(_minimalize(heads, order), key=lambda k: order.key(heads[k][0]), reverse=True)
     reps = _representations(derivs, heads, kept, len(ideal.generators), nv, modulus) if track else None
-    gb = GroebnerBasis(
-        elements,
+    return GroebnerBasis(
+        [basis[k] for k in kept],
         order,
-        representations=[reps[kept[i]] for i in perm] if track else None,
+        is_monic=all(heads[k][1] == 1 for k in kept),
+        representations=[reps[k] for k in kept] if track else None,
     )
-    gb.is_monic = all(heads[k][1] == 1 for k in kept)
-    return gb
 
 
 def _representations(derivs, heads, wanted, n_gens, nv, modulus):
@@ -435,15 +431,6 @@ def _minimalize(heads, order):
         if not covered:
             kept.append(((lm, lc), i))
     return sorted(i for _, i in kept)
-
-
-def _storage_order(elements, order):
-    """Permutation sorting elements by descending leading monomial."""
-    keyed = [
-        (order.key(leading_data(g, order)[1]), idx) for idx, g in enumerate(elements)
-    ]
-    keyed.sort(key=lambda t: t[0], reverse=True)
-    return [idx for _, idx in keyed]
 
 
 # ---------------------------------------------------------------------------

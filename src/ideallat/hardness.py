@@ -27,6 +27,7 @@ from .groebner import Ideal, leading_data, normal_form, reduction_plan
 from .lattice import (
     DEFAULT_ENUM_BUDGET,
     IntegerLattice,
+    _echelon_solve,
     enumerate_box,
     hnf,
     ideal_to_lattice,
@@ -432,12 +433,13 @@ def incspp_via_collisions(q, gens_of_a, g, oracle, rng_seed, p, d, m, eta):
     """Turn hash collisions into an ideal element, following the
     coset-sampling loop.
 
-    Per round: a uniform coset representative of A modulo <g>, a continuous
-    Gaussian offset, the real solve p(v + y) = g*w modulo p<g> with w's
-    coefficients folded into [0, p), and the rounded key polynomial.  The
-    collision differences z_i recombine the fractional parts into h, which
-    is returned after exact membership verification.  The norm property is
-    statistical and left to the caller.
+    Per round: a uniform coset representative v of A modulo <g>, a Gaussian
+    offset y, the real solve p(v + y) = g*w modulo p<g> with w's
+    coefficients folded into [0, p), and its rounding c, whose residues
+    are the key polynomial.  Those are the only floats: the collision
+    differences z_i recombine h = sum (v_i - c_i*g/p)*z_i in integers, and
+    h is returned after exact membership verification.  The norm property
+    is statistical and left to the caller.
     """
     import numpy as np
 
@@ -454,10 +456,10 @@ def incspp_via_collisions(q, gens_of_a, g, oracle, rng_seed, p, d, m, eta):
         raise DomainError("g must be nonzero")
 
     s = gaussian_width(g, n_dim, d, m, eta)
+    # the HNF is echelon and full rank, so each row of M_g solves directly
     basis_a = lat_a.hnf
     mul_g = multiplication_matrix(g, q)
-    lat_g = IntegerLattice(mul_g)
-    coords_g = [solve_left(basis_a, row) for row in lat_g.hnf]
+    coords_g = [_echelon_solve(basis_a, row) for row in mul_g]
     if any(c is None for c in coords_g):
         raise NumericDegeneracyError("<g> is not inside the ideal lattice")
     index_form = hnf(coords_g)
@@ -468,44 +470,37 @@ def incspp_via_collisions(q, gens_of_a, g, oracle, rng_seed, p, d, m, eta):
     m_mat = np.array(mul_g, dtype=float)
     rng = np.random.default_rng(rng_seed)
     a_polys = []
-    frac_parts = []
-    gaussians = []
+    # per round p*v - c*M_g, with c = p*k + rho the integer rounding of w, c = a mod p
+    offsets = []
     for _ in range(m):
         t = [int(rng.integers(0, di)) for di in diag]
-        v_vec = np.array(row_combination(t, basis_a, [0] * n_dim), dtype=float)
+        v = row_combination(t, basis_a, [0] * n_dim)
         y = rng.normal(0.0, s / math.sqrt(2 * math.pi), n_dim)
         try:
-            w_hat = np.linalg.solve(m_mat.T, p * (v_vec + y))
+            w_hat = np.linalg.solve(m_mat.T, p * (np.array(v, dtype=float) + y))
         except np.linalg.LinAlgError as exc:
             raise NumericDegeneracyError("multiplication-by-g system is singular") from exc
         w_mod = w_hat % p
         rounded = np.floor(w_mod + 0.5)
-        a_int = [int(x) % p for x in rounded]
-        a_poly = Polynomial(
-            {e: c for e, c in zip(q.basis, a_int)}, q.nvars, p
-        )
-        a_polys.append(a_poly)
-        frac_parts.append(w_mod - rounded)
-        gaussians.append(y)
+        wraps = np.rint((w_hat - w_mod) / p)
+        c = [p * int(k) + int(rho) for k, rho in zip(wraps, rounded)]
+        a_polys.append(Polynomial({e: x % p for e, x in zip(q.basis, c)}, q.nvars, p))
+        offsets.append(row_combination([-x for x in c], mul_g, [p * x for x in v]))
 
     alphas, betas = oracle(a_polys)
     z_list = [a - b for a, b in zip(alphas, betas)]
     if all(z.is_zero for z in z_list):
         raise DegenerateCollisionError("oracle returned identical tuples; retry with a new seed")
 
-    h_vec = np.zeros(n_dim, dtype=float)
-    for frac, y, z in zip(frac_parts, gaussians, z_list):
-        if z.is_zero:
-            continue
-        part = (frac @ m_mat) / p - y
-        z_mat = np.array(multiplication_matrix(z, q), dtype=float)
-        h_vec += part @ z_mat
-    h_int = np.floor(h_vec + 0.5)
-    if np.max(np.abs(h_vec - h_int)) > 1e-6:
-        raise NumericDegeneracyError(
-            "combination is not integral (max deviation %.3g)" % float(np.max(np.abs(h_vec - h_int)))
-        )
-    h_coords = [int(x) for x in h_int]
+    # w*M_g = p*(v + y) gives h = sum (v - c*M_g/p)*M_z, so p*h = sum offset*M_z,
+    # which p divides when sum a*z = 0 mod (I, p): the collision identity
+    ph = [0] * n_dim
+    for offset, z in zip(offsets, z_list):
+        if not z.is_zero:
+            ph = row_combination(offset, multiplication_matrix(z, q), ph)
+    if any(x % p for x in ph):
+        raise NumericDegeneracyError("combination is not divisible by p = %d" % p)
+    h_coords = [x // p for x in ph]
     if any(h_coords) and not lat_a.contains(h_coords):
         raise NumericDegeneracyError("reconstructed element escaped the ideal lattice")
     return from_coordinates(h_coords, q)

@@ -9,6 +9,7 @@ a pure function, so objects can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from operator import neg
@@ -52,6 +53,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 # n - 1 is trial-divided up to this bound for a Pocklington proof
 _TRIAL_BOUND = 10**6
+# Brent's rho gives up once its cycle search passes this length (2^17 steps in all)
+_RHO_STEPS = 1 << 16
 
 
 def _is_prime(n):
@@ -81,6 +84,7 @@ def _is_prime(n):
     return _pocklington(n)
 
 
+@functools.lru_cache(maxsize=64)
 def _pocklington(n):
     """Prove n prime from the factored part F of n - 1; n is odd and has
     passed Miller-Rabin.
@@ -88,8 +92,10 @@ def _pocklington(n):
     n is prime when F^2 > n and every prime q | F has a base a with
     a^(n-1) = 1 (mod n) and gcd(a^((n-1)/q) - 1, n) = 1 (Pocklington 1914;
     Brillhart, Lehmer & Selfridge 1975).  F collects the primes of n - 1
-    up to ``_TRIAL_BOUND`` and the cofactor when ``_is_prime`` certifies
-    it.  A Fermat witness proves n composite; otherwise DomainError.
+    up to ``_TRIAL_BOUND``, then splits the cofactor with ``_rho`` into
+    parts that ``_is_prime`` certifies.  A Fermat witness proves n
+    composite; otherwise DomainError.  Proofs are memoized, refusals are
+    raised again on every call.
     """
     m, primes = n - 1, []
     q = 2
@@ -99,13 +105,20 @@ def _pocklington(n):
             while m % q == 0:
                 m //= q
         q += 1 if q == 2 else 2
-    if m > 1:
+    # no prime up to q divides the cofactor's parts, so a part below q^2 is prime
+    parts, m = [m] if m > 1 else [], 1
+    while parts:
+        c = parts.pop()
         try:
-            if q * q > m or _is_prime(m):
-                primes.append(m)
-                m = 1
+            prime = q * q > c or _is_prime(c)
         except DomainError:
-            pass
+            prime = False
+        if prime:
+            primes.append(c)
+        elif d := _rho(c):
+            parts += [d, c // d]
+        else:
+            m *= c
     f = (n - 1) // m
     proven = f * f > n
     for a in _MR_BASES:
@@ -115,6 +128,22 @@ def _pocklington(n):
     if proven and not primes:
         return True
     raise DomainError("cannot certify modulus %d as prime" % n)
+
+
+def _rho(n):
+    """A proper factor of the odd composite n by Pollard's rho with Brent's
+    cycle search (Brent 1980), iterating y -> y^2 + 1 from 2; None when the
+    search passes ``_RHO_STEPS`` or the cycle closes modulo n itself."""
+    y, r = 2, 1
+    while r <= _RHO_STEPS:
+        x = y
+        for _ in range(r):
+            y = (y * y + 1) % n
+            g = math.gcd(x - y, n)
+            if g != 1:
+                return g if g != n else None
+        r *= 2
+    return None
 
 
 def format_monomial(e, nvars):

@@ -11,7 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from ideallat.errors import DegenerateCollisionError, DomainError, InfeasibleError, ResourceError
+from ideallat.errors import (
+    DegenerateCollisionError,
+    DomainError,
+    InfeasibleError,
+    NumericDegeneracyError,
+    ResourceError,
+)
 from ideallat.groebner import Ideal, reduce_full
 from ideallat.hardness import (
     cyclic_shape,
@@ -31,7 +37,7 @@ from ideallat.hardness import (
 )
 from ideallat.hashing import HashKey, HashParams, collision_oracle
 from ideallat.lattice import ideal_to_lattice, minima_bruteforce
-from ideallat.poly import MonomialOrder, Polynomial, inf_norm, parse_polynomial
+from ideallat.poly import MonomialOrder, Polynomial, format_polynomial, inf_norm, parse_polynomial
 from ideallat.quotient import build_quotient, coordinates, from_coordinates, quotient_mul
 
 from conftest import random_polynomial
@@ -452,15 +458,36 @@ def test_ring_family_recognizers(gens, nvars, modulus, shape, cert, order):
     assert primality_certificate(q) == cert
 
 
-def tiny_instance():
-    ideal = Ideal([P("x^2+x+1", 1)], 1)
+def collision_instance(ring, a_gens, g_text, nvars=1):
+    """(q, gens of A, g, oracle) for p = 17, d = 1, m = 3, eta = 2."""
+    ideal = Ideal([P(t, nvars) for t in ring], nvars)
     q = build_quotient(ideal)
     params = HashParams(p=17, ideal=ideal, order=MonomialOrder("lex"), d=1, m=3, eta=2.0)
-    key = HashKey(params=params, a=())
-    oracle = collision_oracle(key, budget=10**6)
-    gens = [P("x-1", 1)]
-    g = P("12*x-12", 1)
-    return q, gens, g, oracle
+    oracle = collision_oracle(HashKey(params=params, a=()), budget=10**6)
+    return q, [P(t, nvars) for t in a_gens], P(g_text, nvars), oracle
+
+
+def tiny_instance():
+    return collision_instance(["x^2+x+1"], ["x-1"], "12*x-12")
+
+
+# sha256 of the h of seeds 0..K-1, one per line, pinned before the
+# recombination became exact
+ALGO1_GOLDEN = [
+    (["x^2+x+1"], ["x-1"], "12*x-12", 1, 200, "4e81484bf9fb45a0"),
+    (["x^4+x^3+x^2+x+1"], ["x-1"], "12*x-12", 1, 40, "f7b2a91905a9361f"),
+    (["x+1", "y^2+y+1"], ["x-y"], "10*x-10*y", 2, 200, "a9e7bb5efa9529b4"),
+]
+
+
+@pytest.mark.parametrize("ring, a_gens, g_text, nvars, seeds, digest", ALGO1_GOLDEN)
+def test_algo1_golden(ring, a_gens, g_text, nvars, seeds, digest):
+    q, gens, g, oracle = collision_instance(ring, a_gens, g_text, nvars)
+    out = "\n".join(
+        format_polynomial(incspp_via_collisions(q, gens, g, oracle, seed, 17, 1, 3, 2.0))
+        for seed in range(seeds)
+    )
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 class TestCollisionHarness:
@@ -478,6 +505,18 @@ class TestCollisionHarness:
 
         with pytest.raises(DegenerateCollisionError):
             incspp_via_collisions(q, gens, g, zero_oracle, 1, 17, 1, 3, 2.0)
+
+    def test_non_collision_is_not_divisible(self):
+        # sum a_i*z_i = a_1 is not 0 mod (I, p), so p does not divide p*h
+        q, gens, g, _ = tiny_instance()
+        one, zero = P("1", 1), Polynomial.zero(1)
+
+        def fake_oracle(a_polys):
+            return (one, zero, zero), (zero, zero, zero)
+
+        with pytest.raises(NumericDegeneracyError) as exc:
+            incspp_via_collisions(q, gens, g, fake_oracle, 1, 17, 1, 3, 2.0)
+        assert str(exc.value) == "combination is not divisible by p = 17"
 
     def test_membership_over_seeds(self):
         q, gens, g, oracle = tiny_instance()

@@ -10,6 +10,7 @@ from ideallat.jsonio import ideal_from_obj
 from ideallat.poly import (
     MonomialOrder,
     _is_prime,
+    _pocklington,
     Polynomial,
     format_polynomial,
     inf_norm,
@@ -247,6 +248,19 @@ class TestPrimality:
         q = (n - 1) // (4 * 11 * 23)
         assert 4 * 11 * 23 * q == n - 1 and q < 3_317_044_064_679_887_385_961_981
         assert _is_prime(n)
+
+    def test_composite_cofactor_is_split(self):
+        # n - 1 = 2^3 * 3 * 79043 * c, and c = 3998741 * 290240017 * 454197539
+        # is composite and above the trial bound
+        n = 10**30 + 57
+        assert (n - 1) // (8 * 3 * 79043) == 3998741 * 290240017 * 454197539
+        assert _is_prime(n)
+
+    def test_each_modulus_is_proven_once(self):
+        # the file's modulus and the ideal's are the same number
+        _pocklington.cache_clear()
+        ideal_from_obj({"nvars": 1, "modulus": str(10**25 + 13), "generators": ["x^2+1", "x+3"]})
+        assert _pocklington.cache_info().misses == 1
 
     def test_strong_pseudoprime_to_every_base_is_refused(self):
         # composite, and a strong pseudoprime to all 13 Miller-Rabin bases
