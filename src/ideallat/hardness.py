@@ -23,7 +23,7 @@ from .errors import (
     InfeasibleError,
     NumericDegeneracyError,
 )
-from .groebner import Ideal, leading_data, normal_form, reduction_plan
+from .groebner import Ideal, leading_data, reduction_plan
 from .lattice import (
     DEFAULT_ENUM_BUDGET,
     IntegerLattice,
@@ -37,7 +37,7 @@ from .lattice import (
     solve_left,
 )
 from .poly import MonomialOrder, Polynomial, _is_prime, inf_norm, maxdeg
-from .quotient import build_quotient, coordinates, from_coordinates, multiplication_matrix, row_combination
+from .quotient import build_quotient, coordinates, from_coordinates, multiplication_matrix, residue, row_combination
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ from .quotient import build_quotient, coordinates, from_coordinates, multiplicat
 
 def norm_mod(f, q):
     """Infinity norm of f's canonical residue (centered for mod-p rings)."""
-    return inf_norm(normal_form(f, q.gb).centered_lift())
+    return inf_norm(residue(f, q).centered_lift())
 
 
 @dataclass
@@ -289,7 +289,7 @@ def cyclic_to_cyclotomic(oracle, q_cyclic, gens_of_a, box=None, budget=DEFAULT_E
 
     candidates = []
 
-    image_gens = [normal_form(g, q_ap.gb) for g in gens_of_a]
+    image_gens = [residue(g, q_ap) for g in gens_of_a]
     image_gens = [g for g in image_gens if not g.is_zero]
     if image_gens:
         g_prime = oracle(q_ap, image_gens)
@@ -364,7 +364,7 @@ def variety_cyclotomic(r_tuple):
 
 def max_substitution(alpha, ctx):
     """Largest modulus of alpha's value over the variety (reduced first)."""
-    a = normal_form(alpha, ctx.quotient.gb)
+    a = residue(alpha, ctx.quotient)
     if a.is_zero:
         return 0.0
     return max(abs(ctx.evaluate(a, point)) for point in ctx.points)

@@ -19,12 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from operator import add, mul
 
 from .errors import DomainError, ResourceError, ValidationError
-from .groebner import Ideal, normal_form
+from .groebner import Ideal
 from .poly import MonomialOrder, Polynomial, _is_prime
-from .quotient import build_quotient, from_coordinates, multiplication_matrix
+from .quotient import build_quotient, from_coordinates, multiplication_matrix, residue
 
 
 @dataclass
@@ -171,7 +171,7 @@ def _domain_coords(key, f):
         raise DomainError("tuple entry has a foreign modulus")
     coeffs = f.coeffs
     if not coeffs.keys() <= q.basis_set:
-        coeffs = normal_form(Polynomial._trusted(coeffs, f.nvars, p), q.gb).coeffs
+        coeffs = residue(Polynomial._trusted(coeffs, f.nvars, p), q).coeffs
     # the centered residue of c lies in [-d, d] iff (c + d) mod p <= 2d,
     # which holds for every c once 2d >= p - 1 and for none once d < 0
     d = key.params.d
@@ -248,18 +248,21 @@ def find_collision_bruteforce(key, budget=10**6):
     for i in range(len(key.a)):
         block = [col[i * q.N : (i + 1) * q.N] for col in columns]
         tables.append({c: tuple(sum(map(mul, c, x)) % params.p for x in block) for c in singles})
-    seen = {}
-    for tup in itertools.product(singles, repeat=params.m):
-        vec = [0] * q.N
-        for i, coords in enumerate(tup):
-            part = tables[i][coords]
-            vec = [(a + b) % params.p for a, b in zip(vec, part)]
-        sig = tuple(vec)
-        if sig in seen:
-            alpha = _tuple_to_polys(seen[sig], q)
-            beta = _tuple_to_polys(tup, q)
-            return alpha, beta
-        seen[sig] = tup
+    # the sum over the first m - 1 entries is formed once per head and
+    # shared by every last entry: one vector add per tuple
+    p, seen = params.p, {}
+    if tables:
+        *head_tables, last = tables
+        for head in itertools.product(singles, repeat=len(head_tables)):
+            base = [0] * q.N
+            for table, coords in zip(head_tables, head):
+                base = list(map(add, base, table[coords]))
+            for coords, part in last.items():
+                sig = tuple([(a + b) % p for a, b in zip(base, part)])
+                tup = head + (coords,)
+                if sig in seen:
+                    return _tuple_to_polys(seen[sig], q), _tuple_to_polys(tup, q)
+                seen[sig] = tup
     raise DomainError("no collision found: the domain does not exceed the range")
 
 

@@ -174,35 +174,25 @@ class MonomialOrder:
         self.priority = None if priority is None else tuple(priority)
         if self.priority is not None and sorted(self.priority) != list(range(len(self.priority))):
             raise DomainError("priority must be a permutation of 0..n-1, got %r" % (priority,))
+        # key(a) < key(b) iff monomial a precedes b; desc_key reverses the
+        # order with a flat tuple of ints, so a heap of (desc_key(e), e) pops
+        # the largest monomial first and compares keys without Python code
+        perm = self.priority
+        p = tuple if perm is None else (lambda e: tuple([e[i] for i in perm]))
+        if kind == "lex":
+            key = p
+        elif kind == "grlex":
+            key = lambda e: (sum(e), *p(e))
+        else:
+            # grevlex: higher total degree wins; ties broken by the smaller
+            # exponent in the least significant position
+            key = lambda e: (sum(e), *map(neg, reversed(p(e))))
+        self.key = key
+        self.desc_key = lambda e: tuple(map(neg, key(e)))
 
-    def _permuted(self, e):
-        if self.priority is None:
-            return tuple(e)
-        return tuple(e[i] for i in self.priority)
-
-    def key(self, e):
-        """Sort key: monomial a precedes b under the order iff key(a) < key(b)."""
-        p = self._permuted(e)
-        if self.kind == "lex":
-            return p
-        if self.kind == "grlex":
-            return (sum(p), p)
-        # grevlex: higher total degree wins; ties broken by the smaller
-        # exponent in the least significant position.
-        return (sum(p), tuple(-x for x in reversed(p)))
-
-    def desc_key(self, e):
-        """Flat key of the reversed order: a precedes b iff desc_key(a) > desc_key(b).
-
-        A plain tuple of ints, so a heap of (desc_key(e), e) pops the
-        largest monomial first and compares keys without Python code.
-        """
-        p = e if self.priority is None else [e[i] for i in self.priority]
-        if self.kind == "lex":
-            return tuple(map(neg, p))
-        if self.kind == "grlex":
-            return (-sum(p), *map(neg, p))
-        return (-sum(p), *p[::-1])
+    def __reduce__(self):
+        # the keys are closures, which pickle cannot store: rebuild them
+        return MonomialOrder, (self.kind, self.priority)
 
     def __eq__(self, other):
         return (
@@ -339,18 +329,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise DomainError("polynomial powers must be non-negative integers")
-        acc = Polynomial.constant(1, self.nvars, self.modulus)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
     def term_multiple(self, c, e):
         """c * x^e * self, the single-term product used by division."""
         return Polynomial(
@@ -423,12 +401,6 @@ def maxdeg(f, i):
     if f.is_zero:
         return 0
     return max(e[i] for e in f.coeffs)
-
-
-def total_degree(f):
-    if f.is_zero:
-        return 0
-    return max(sum(e) for e in f.coeffs)
 
 
 # ---------------------------------------------------------------------------

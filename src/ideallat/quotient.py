@@ -122,6 +122,18 @@ def quotient_from_basis(gb):
     )
 
 
+def residue(f, q):
+    """Canonical representative of f in q: its normal form on ``q.gb``.
+
+    A standard monomial has content 0: no leading monomial of the basis
+    divides it.  So an f of the ring's modulus supported on the standard
+    monomials is its own normal form and is returned as it is.
+    """
+    if f.modulus == q.modulus and f.coeffs.keys() <= q.basis_set:
+        return f
+    return normal_form(f, q.gb)
+
+
 def coordinates(f, q):
     """Integer coordinate vector of f's residue on the standard basis."""
     if not q.free:
@@ -130,7 +142,7 @@ def coordinates(f, q):
             "quotient is not free (torsion at %r with content %r); "
             "integer coordinates are unavailable" % witness
         )
-    r = normal_form(f, q.gb)
+    r = residue(f, q)
     extra = r.coeffs.keys() - q.basis_set
     if extra:
         raise DomainError("normal form has support outside the standard basis: %r" % extra)
@@ -150,7 +162,7 @@ def from_coordinates(vec, q):
 
 def quotient_mul(f, g, q):
     """Product of residues, reduced onto the standard monomials."""
-    return normal_form(f * g, q.gb)
+    return residue(f * g, q)
 
 
 def row_combination(coeffs, rows, acc):

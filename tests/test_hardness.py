@@ -359,6 +359,23 @@ class TestSubstitutionBounds:
                 assert ms <= ctx.N * mc + 1e-9
                 assert ms <= ctx.N * ctx.t * mc + 1e-9
 
+    def test_ssub_reduces_no_candidate(self, monkeypatch):
+        """The candidates lie on the standard monomials, so only the
+        multiplication rows off them reach reduce_full, at most N."""
+        import ideallat.groebner as groebner
+
+        ctx = variety_cyclotomic((5,))
+        calls = []
+        real = groebner.reduce_full
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, "reduce_full", counting)
+        ssub_bruteforce(ctx, [P("x^2-3*x+1", 1)], box=2)
+        assert 0 < len(calls) <= ctx.N
+
     def test_gamma_n2_equivalence(self):
         # both directions with brute-force enumerators standing in for oracles
         for r, gens_text in [((3,), ["x-1"]), ((3,), ["2"]), ((5,), ["x-1"])]:

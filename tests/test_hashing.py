@@ -1,6 +1,7 @@
 """Hash family: validation, key generation, hashing, collisions and the
 byte encoding."""
 
+import dataclasses
 import math
 
 import pytest
@@ -313,22 +314,31 @@ class TestCollisions:
             acc = acc + quotient_mul(ai, Polynomial(zi.coeffs, 1, key.params.p), q)
         assert normal_form(acc, q.gb).is_zero
 
+    @pytest.mark.parametrize("m, d", [(0, 1), (1, 1), (1, -1), (3, -1)])
+    def test_search_without_collision_is_domain_error(self, m, d):
+        # m = 0 leaves the empty tuple alone; d = -1 leaves no tuple at all;
+        # m = 1 has 3^2 = 9 tuples for 17^2 digests
+        key = keygen(make_params(), 11)
+        probe = HashKey(params=dataclasses.replace(key.params, m=m, d=d), a=key.a[:m], quotient=key.ring())
+        with pytest.raises(DomainError, match="no collision found"):
+            find_collision_bruteforce(probe)
+
     def test_verify_reduces_each_entry_once(self, monkeypatch):
         """Entries off the standard monomials are reduced once each; the
         entries of a bruteforce collision lie on them and need no normal
         form."""
-        import ideallat.hashing as hashing
+        import ideallat.quotient as quotient
 
         key = keygen(make_params(), 11)
         alpha, beta = find_collision_bruteforce(key)
         reduced = []
-        real = hashing.normal_form
+        real = quotient.normal_form
 
         def counting(f, gb):
             reduced.append(f)
             return real(f, gb)
 
-        monkeypatch.setattr(hashing, "normal_form", counting)
+        monkeypatch.setattr(quotient, "normal_form", counting)
         assert verify_collision(key, alpha, beta)
         assert reduced == []
         g = key.params.ideal.generators[0]

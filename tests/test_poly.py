@@ -1,6 +1,8 @@
 """Polynomial arithmetic, monomial orders, norms and the text grammar."""
 
+import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -161,6 +163,16 @@ class TestOrders:
         keys = [order.desc_key(m) for m in set(monos)]
         assert len(set(keys)) == len(keys)
         assert all(type(x) is int for k in keys for x in k)
+
+    @pytest.mark.parametrize("kind", ["lex", "grlex", "grevlex"])
+    @pytest.mark.parametrize("priority", [None, (2, 0, 1)])
+    def test_pickle_round_trip(self, kind, priority):
+        order = MonomialOrder(kind, priority)
+        copy = pickle.loads(pickle.dumps(order))
+        monos = list(itertools.product(range(3), repeat=3))
+        assert copy == order
+        assert [copy.key(m) for m in monos] == [order.key(m) for m in monos]
+        assert [copy.desc_key(m) for m in monos] == [order.desc_key(m) for m in monos]
 
     def test_priority_permutation(self):
         order = MonomialOrder("lex", priority=(1, 0))

@@ -1,12 +1,15 @@
 """Quotient-module structure: dimension, freeness, coordinates, ring
 products and lattice-ideal generators."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 
+import ideallat
 from ideallat.errors import DomainError, InfiniteDimensionError, RepresentationError, ResourceError
-from ideallat.groebner import Ideal, buchberger, ideal_membership, short_reduce
+from ideallat.groebner import Ideal, buchberger, ideal_membership, normal_form, short_reduce
 from ideallat.hardness import cyclotomic_sum_ideal
 from ideallat.poly import MonomialOrder, Polynomial, parse_polynomial
 from ideallat.quotient import (
@@ -16,6 +19,7 @@ from ideallat.quotient import (
     lattice_ideal,
     multiplication_matrix,
     quotient_mul,
+    residue,
 )
 
 from conftest import random_ideal, random_polynomial
@@ -124,6 +128,60 @@ class TestCoordinates:
             coordinates(P("x", 1), q)
         with pytest.raises(RepresentationError):
             from_coordinates([1], q)
+
+
+class TestResidue:
+    RINGS = [
+        (["x^2+x+1"], 1, None),
+        (["x^2-1", "y^3-1"], 2, 17),
+        (["2*x", "x^2"], 1, None),  # torsion at x
+    ]
+
+    @pytest.mark.parametrize("gens, nvars, modulus", RINGS)
+    def test_standard_monomials_are_their_own_residue(self, rng, gens, nvars, modulus):
+        q = build_quotient(Ideal([P(t, nvars, modulus) for t in gens], nvars, modulus))
+        for _ in range(20):
+            f = Polynomial({e: rng.randint(-9, 9) for e in q.basis}, nvars, modulus)
+            assert residue(f, q) is f
+            assert normal_form(f, q.gb) == f
+
+    @pytest.mark.parametrize("gens, nvars, modulus", RINGS)
+    def test_off_the_basis_it_is_the_normal_form(self, rng, gens, nvars, modulus):
+        q = build_quotient(Ideal([P(t, nvars, modulus) for t in gens], nvars, modulus))
+        for _ in range(20):
+            f = random_polynomial(rng, nvars, max_deg=4, modulus=modulus)
+            assert residue(f, q) == normal_form(f, q.gb)
+
+    @pytest.mark.parametrize("f", [P("x", 1, 5), P("x^2", 1, 5), Polynomial.zero(1, 5)])
+    def test_foreign_modulus_raises_as_normal_form_does(self, f):
+        q = build_quotient(Ideal([P("x^2+x+1", 1, 17)], 1, 17))
+        with pytest.raises(DomainError) as want:
+            normal_form(f, q.gb)
+        with pytest.raises(DomainError) as got:
+            residue(f, q)
+        assert str(got.value) == str(want.value)
+
+
+def test_normal_form_is_taken_only_in_groebner_and_quotient():
+    """Every other module reaches normal forms through quotient.residue;
+    __init__ only lists the name in its export table."""
+    users = []
+    for path in sorted(pathlib.Path(ideallat.__file__).parent.glob("*.py")):
+        if path.name in ("groebner.py", "quotient.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        if path.name == "__init__.py":
+            exports = [
+                n for n in tree.body
+                if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "_EXPORTS"
+            ]
+            assert len(exports) == 1
+            tree.body.remove(exports[0])
+        for node in ast.walk(tree):
+            # identifiers, attributes, imports, definitions and string constants
+            if "normal_form" in [getattr(node, a, None) for a in ("id", "attr", "name", "asname", "value")]:
+                users.append("%s:%d" % (path.name, node.lineno))
+    assert users == []
 
 
 class TestQuotientMul:
